@@ -14,30 +14,23 @@
 //! ([`ct_core::interp::AxisWeight`]), and the depth sweep is processed
 //! in [`LANE_WIDTH`]-wide chunks whose index, weight and blend loops
 //! all have constant trip counts over fixed arrays — the shape rustc
-//! reliably lowers to packed SSE/AVX, with FMA where the target allows.
+//! reliably lowers to packed SSE/AVX.
 //!
-//! **Bit-identity discipline.** In [`LaneMode::Strict`] (the default)
-//! every per-element value is produced by *exactly* the reference
-//! expressions: in-range lanes replace `v.floor()` with an integer
-//! truncation that provably equals it for `v >= 0` (plus a `+ 0.0`
-//! canonicalisation so `v = -0.0` yields the same `+0.0` fraction the
-//! reference computes), and the blend is the same
-//! `a*(1-d) + b*d` association. Scalar IEEE arithmetic in identical
-//! order gives identical bits, so the strict lane kernel is
-//! bit-identical to the warp kernel for any chunking, blocking, or
-//! thread count — the equivalence suite asserts exactly that.
-//! [`LaneMode::Fma`] instead contracts the blends with `f32::mul_add`,
-//! which changes the bits (documented NRMSE bound [`FMA_NRMSE_BOUND`])
-//! and is only faster on targets with hardware FMA
-//! (`-C target-cpu=native` on anything post-Haswell); without it each
-//! `mul_add` is a libm call, so Fma is opt-in.
+//! **Bit-identity discipline.** Every per-element value is produced by
+//! *exactly* the reference expressions: in-range lanes replace
+//! `v.floor()` with an integer truncation that provably equals it for
+//! `v >= 0` (plus a `+ 0.0` canonicalisation so `v = -0.0` yields the
+//! same `+0.0` fraction the reference computes), and the blend is the
+//! same `a*(1-d) + b*d` association. Scalar IEEE arithmetic in identical
+//! order gives identical bits, so the lane kernel is bit-identical to
+//! the warp kernel for any chunking, tiling or thread count — the
+//! equivalence suite asserts exactly that. No blend is contracted with
+//! `f32::mul_add`: on the baseline x86-64 build that is a libm call per
+//! element, and it would change the bits.
 
-use crate::tiled::{
-    backproject_pair_tiled_reporting, backproject_tiled_with, TileConfig, TileReport,
-};
-use crate::warp::{
-    backproject_warp_with, ColumnBatch, Sampler, SweepBuffers, LANE_WIDTH, WARP_BATCH,
-};
+use crate::pair::{backproject_pair_with, SlabPair};
+use crate::tiled::{backproject_pair_tiled_reporting, TileConfig, TileReport};
+use crate::warp::{Sampler, LANE_WIDTH};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::interp::AxisWeight;
 use ct_core::problem::Dims3;
@@ -45,69 +38,28 @@ use ct_core::projection::TransposedProjection;
 use ct_core::volume::{Volume, VolumeLayout};
 use ct_par::Pool;
 
-use crate::pair::{backproject_pair_with, SlabPair};
-
-/// Documented agreement bound between [`LaneMode::Fma`] and the strict
-/// kernels: normalised RMSE of a full volume stays below this. Fusing
-/// `a*b + c` removes one rounding per blend; across the ~`4*Np`
-/// roundings a voxel accumulates, the drift stays orders of magnitude
-/// under this bound in practice — the bound is deliberately loose so it
-/// gates correctness, not luck.
-pub const FMA_NRMSE_BOUND: f64 = 1e-6;
-
-/// Arithmetic mode of the lane kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LaneMode {
-    /// Reference expressions, reference association: bit-identical to
-    /// the scalar warp kernel.
-    #[default]
-    Strict,
-    /// Blends contracted with `f32::mul_add`. Different bits (see
-    /// [`FMA_NRMSE_BOUND`]); only profitable with hardware FMA.
-    Fma,
-}
-
 /// Which back-projection implementation the drivers dispatch to — the
 /// kernel-generation selector layered on top of the Table 3
 /// [`crate::KernelVariant`] axis (which picks *data layout*, not
-/// implementation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// implementation). Both are bit-identical; the choice is a plain
+/// config value ([`crate::BpConfig::kernel`]) set by the caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelImpl {
     /// The original per-element kernels (`ct_bp::warp`), kept as the
     /// oracle the lane kernel is verified against.
     Scalar,
-    /// The lane-array kernel of this module.
-    Lanes(LaneMode),
-}
-
-impl Default for KernelImpl {
-    /// `Lanes(Strict)`: bit-identical to [`KernelImpl::Scalar`] and
-    /// faster, so it is safe to prefer unconditionally.
-    fn default() -> Self {
-        KernelImpl::Lanes(LaneMode::Strict)
-    }
+    /// The lane-array kernel of this module: bit-identical to
+    /// [`KernelImpl::Scalar`] and faster, so it is the default.
+    #[default]
+    Lanes,
 }
 
 impl KernelImpl {
-    /// Resolve from the `IFDK_KERNEL` environment variable: `scalar`,
-    /// `lanes` (strict) or `lanes-fma`. Unset or unrecognised values
-    /// fall back to the default ([`KernelImpl::Lanes`] strict — safe
-    /// because it is bit-identical to scalar).
-    pub fn from_env() -> Self {
-        match std::env::var("IFDK_KERNEL").as_deref() {
-            Ok("scalar") => KernelImpl::Scalar,
-            Ok("lanes") => KernelImpl::Lanes(LaneMode::Strict),
-            Ok("lanes-fma") => KernelImpl::Lanes(LaneMode::Fma),
-            _ => KernelImpl::default(),
-        }
-    }
-
     /// Stable name for reports and bench cell keys.
     pub fn name(&self) -> &'static str {
         match self {
             KernelImpl::Scalar => "scalar",
-            KernelImpl::Lanes(LaneMode::Strict) => "lanes",
-            KernelImpl::Lanes(LaneMode::Fma) => "lanes-fma",
+            KernelImpl::Lanes => "lanes",
         }
     }
 }
@@ -148,48 +100,37 @@ impl<'a> UColumn<'a> {
     }
 }
 
+/// Blend one element exactly as the reference does.
+#[allow(clippy::too_many_arguments)] // the flat bilinear dataflow
+#[inline]
+fn blend(a0: f32, a1: f32, b0: f32, b1: f32, d: f32, du: f32, w: f32) -> f32 {
+    let t1 = a0 * (1.0 - d) + a1 * d;
+    let t2 = b0 * (1.0 - d) + b1 * d;
+    w * (t1 * (1.0 - du) + t2 * du)
+}
+
 /// A [`Sampler`] running the lane-array sweep over a transposed
 /// projection. Borrowing wrapper, so the existing generic drivers
 /// (warp, pair, tiled) take the lane path with no signature changes.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneSampler<'a> {
     proj: &'a TransposedProjection,
-    mode: LaneMode,
 }
 
 impl<'a> LaneSampler<'a> {
     /// Wrap one projection.
     #[inline]
-    pub fn new(proj: &'a TransposedProjection, mode: LaneMode) -> Self {
-        Self { proj, mode }
+    pub fn new(proj: &'a TransposedProjection) -> Self {
+        Self { proj }
     }
 
     /// Wrap a whole batch of projections.
-    pub fn wrap(projs: &'a [&TransposedProjection], mode: LaneMode) -> Vec<LaneSampler<'a>> {
+    pub fn wrap(projs: &'a [&TransposedProjection]) -> Vec<LaneSampler<'a>> {
         // analyze: allow(alloc, reason = "batch setup: one sampler table per projection batch, built before the per-column sweep starts")
         let mut out = Vec::with_capacity(projs.len());
         // analyze: allow(alloc, reason = "bounded: capacity reserved above at projs.len(); extend fills exactly that many slots")
-        out.extend(projs.iter().map(|p| Self::new(p, mode)));
+        out.extend(projs.iter().map(|p| Self::new(p)));
         out
-    }
-
-    /// Blend one element exactly as the reference does (strict) or with
-    /// fused multiply-adds (fma).
-    #[allow(clippy::too_many_arguments)] // the flat bilinear dataflow
-    #[inline]
-    fn blend(&self, a0: f32, a1: f32, b0: f32, b1: f32, d: f32, du: f32, w: f32) -> f32 {
-        match self.mode {
-            LaneMode::Strict => {
-                let t1 = a0 * (1.0 - d) + a1 * d;
-                let t2 = b0 * (1.0 - d) + b1 * d;
-                w * (t1 * (1.0 - du) + t2 * du)
-            }
-            LaneMode::Fma => {
-                let t1 = a1.mul_add(d, a0 * (1.0 - d));
-                let t2 = b1.mul_add(d, b0 * (1.0 - d));
-                w * t2.mul_add(du, t1 * (1.0 - du))
-            }
-        }
     }
 
     /// Reference per-element v handling for lanes the fast predicate
@@ -207,7 +148,7 @@ impl<'a> LaneSampler<'a> {
         };
         let (a0, a1) = (s(col.row0, vw.i), s(col.row0, vw.i + 1));
         let (b0, b1) = (s(col.row1, vw.i), s(col.row1, vw.i + 1));
-        *o += self.blend(a0, a1, b0, b1, vw.frac, col.du, w);
+        *o += blend(a0, a1, b0, b1, vw.frac, col.du, w);
     }
 }
 
@@ -219,8 +160,8 @@ impl Sampler for LaneSampler<'_> {
 
     /// The lane-array sweep: `u` weights once per column, then the
     /// depth loop in [`LANE_WIDTH`]-wide chunks of fixed-size array
-    /// arithmetic. Strict mode is bit-identical to the warp fast path
-    /// (which is itself bit-identical to `interp2`).
+    /// arithmetic. Bit-identical to the warp fast path (which is itself
+    /// bit-identical to `interp2`).
     fn accumulate_column(&self, u: f32, vs: &[f32], w: f32, out: &mut [f32]) {
         let Some((col, _)) = UColumn::resolve(self.proj, u) else {
             // u border: both axes need the zero-border blend — the
@@ -285,7 +226,7 @@ impl Sampler for LaneSampler<'_> {
                     .zip(b1.iter())
                     .zip(d.iter()),
             ) {
-                *o += self.blend(la0, la1, lb0, lb1, ld, col.du, w);
+                *o += blend(la0, la1, lb0, lb1, ld, col.du, w);
             }
         }
         // Tail: same expressions, scalar.
@@ -302,7 +243,7 @@ impl Sampler for LaneSampler<'_> {
                 let a1 = col.row0.get(i + 1).copied().unwrap_or(0.0);
                 let b0 = col.row1.get(i).copied().unwrap_or(0.0);
                 let b1 = col.row1.get(i + 1).copied().unwrap_or(0.0);
-                *o += self.blend(a0, a1, b0, b1, d, col.du, w);
+                *o += blend(a0, a1, b0, b1, d, col.du, w);
             } else {
                 self.border_element(&col, v, w, o);
             }
@@ -310,131 +251,10 @@ impl Sampler for LaneSampler<'_> {
     }
 }
 
-/// Projection-batch blocking configuration for
-/// [`backproject_lanes_with`]. Fields set to `0` resolve automatically
-/// from cache-budget heuristics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LanesBlocking {
-    /// Projection *batches* per resident block (`0` = auto): a block's
-    /// projections are all swept through a column tile before the next
-    /// block starts.
-    pub block_batches: usize,
-    /// Voxel columns per resident tile (`0` = auto).
-    pub j_tile: usize,
-}
-
-impl LanesBlocking {
-    /// Resolve the `0 = auto` fields. The column tile is sized so its
-    /// depth-sweep output (`j_tile * nz` f32 accumulators plus the
-    /// sweep scratch) stays within an L1-ish 16 KiB budget; the batch
-    /// block is sized so a block's worth of per-column detector row
-    /// pairs (`batch * 2 * nv` f32 per column) stays within an L2-ish
-    /// 256 KiB budget. Both clamp to at least 1.
-    pub fn resolve(
-        &self,
-        ny: usize,
-        nz: usize,
-        nv: usize,
-        batch: usize,
-        batches: usize,
-    ) -> (usize, usize) {
-        const L1_BUDGET: usize = 16 * 1024;
-        const L2_BUDGET: usize = 256 * 1024;
-        let j_tile = if self.j_tile == 0 {
-            L1_BUDGET
-                .checked_div(nz.max(1) * 4)
-                .unwrap_or(L1_BUDGET)
-                .clamp(1, ny.max(1))
-        } else {
-            self.j_tile.clamp(1, ny.max(1))
-        };
-        let block_batches = if self.block_batches == 0 {
-            L2_BUDGET
-                .checked_div(batch.max(1) * 2 * nv.max(1) * 4)
-                .unwrap_or(L2_BUDGET)
-                .clamp(1, batches.max(1))
-        } else {
-            self.block_batches.clamp(1, batches.max(1))
-        };
-        (j_tile, block_batches)
-    }
-}
-
-/// The lane-array full-volume driver: the warp kernel's loop structure
-/// with projection-batch blocking — a block of projection batches is
-/// swept through a resident tile of voxel columns before the sweep
-/// advances, so block-sized projection state stays cache-resident
-/// while every column of the tile consumes it.
-///
-/// Per voxel, batches still accumulate in global batch order (blocks
-/// ascending, batches within a block ascending), and each
-/// `(batch, column)` pair runs the identical reset/sweep/add sequence —
-/// so the output is **bit-identical** to
-/// [`crate::warp::backproject_warp_with`] for every blocking shape and
-/// thread count, including `block_batches = 1` (which *is* the
-/// unblocked loop order).
-pub fn backproject_lanes_with(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    samplers: &[LaneSampler<'_>],
-    nv: usize,
-    dims: Dims3,
-    batch: usize,
-    blocking: LanesBlocking,
-) -> Volume {
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!(dims.nz.is_multiple_of(2), "lanes kernel needs even Nz");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
-    let (ny, nz) = (dims.ny, dims.nz);
-    let half = nz / 2;
-    let rows: Vec<[[f32; 4]; 3]> = mats.iter().map(|m| m.rows_f32()).collect();
-    let batches = rows.len().div_ceil(batch.max(1)).max(1);
-    let (j_tile, block_batches) = blocking.resolve(ny, nz, nv, batch, batches);
-    let block = block_batches * batch;
-
-    let vmax = nv as f32 - 1.0;
-    let mut vol = Volume::zeros(dims, VolumeLayout::KMajor);
-    let chunk = ny * nz;
-    pool.parallel_chunks_mut_indexed(vol.data_mut(), chunk, |i, _start, slice| {
-        let ifl = i as f32;
-        let mut buf = SweepBuffers::new(half);
-        for (rows_blk, samplers_blk) in rows.chunks(block).zip(samplers.chunks(block)) {
-            let mut j0 = 0;
-            while j0 < ny {
-                let jn = (j0 + j_tile).min(ny);
-                for (rows_b, samplers_b) in rows_blk.chunks(batch).zip(samplers_blk.chunks(batch)) {
-                    let tile_cols = slice.chunks_exact_mut(nz).enumerate().take(jn).skip(j0);
-                    for (j, col) in tile_cols {
-                        let jf = j as f32;
-                        let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                        buf.reset();
-                        cb.accumulate_into(samplers_b, 0, vmax, &mut buf);
-                        let (col_up, col_down) = col.split_at_mut(half);
-                        for (dst, src) in col_up.iter_mut().zip(&buf.up) {
-                            *dst += *src;
-                        }
-                        for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
-                            *dst += *src;
-                        }
-                    }
-                }
-                j0 = jn;
-            }
-        }
-    });
-    vol
-}
-
 /// Full-volume batched back-projection over transposed projections,
-/// dispatched on [`KernelImpl`]: the entry the reconstruction
-/// pipelines call. `tile: Some` routes through the tiled driver (which
-/// both kernels share — the lane path rides in through the sampler);
-/// `tile: None` runs the untiled driver (warp for scalar, the blocked
-/// lanes driver otherwise). All four routes are bit-identical in
-/// strict/scalar modes.
+/// dispatched on [`KernelImpl`]: the single slab pair covering the whole
+/// volume through [`backproject_pair_batch_reporting`]. Output is
+/// k-major; `dims.nz` must be even.
 #[allow(clippy::too_many_arguments)] // mirrors backproject_tiled_with + kernel
 pub fn backproject_batch(
     pool: &Pool,
@@ -446,34 +266,20 @@ pub fn backproject_batch(
     batch: usize,
     tile: Option<TileConfig>,
 ) -> Volume {
-    match (kernel, tile) {
-        (KernelImpl::Scalar, Some(t)) => {
-            backproject_tiled_with(pool, mats, projs, nv, dims, batch, t)
-        }
-        (KernelImpl::Scalar, None) => backproject_warp_with(pool, mats, projs, nv, dims, batch),
-        (KernelImpl::Lanes(mode), Some(t)) => {
-            let samplers = LaneSampler::wrap(projs, mode);
-            backproject_tiled_with(pool, mats, &samplers, nv, dims, batch, t)
-        }
-        (KernelImpl::Lanes(mode), None) => {
-            let samplers = LaneSampler::wrap(projs, mode);
-            backproject_lanes_with(
-                pool,
-                mats,
-                &samplers,
-                nv,
-                dims,
-                batch,
-                LanesBlocking::default(),
-            )
-        }
-    }
+    // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
+    assert!(dims.nz.is_multiple_of(2), "symmetric kernel needs even Nz");
+    let Some(pair) = SlabPair::whole(dims.nz) else {
+        // Only reachable for a degenerate zero-depth volume.
+        return Volume::zeros(dims, VolumeLayout::KMajor);
+    };
+    backproject_pair_batch_reporting(pool, kernel, mats, projs, nv, dims, pair, batch, tile).0
 }
 
-/// Slab-pair back-projection dispatched on [`KernelImpl`], with tile
-/// reports when the tiled driver runs (the distributed pipeline's
-/// span attribution). Mirrors [`backproject_batch`] for one
-/// [`SlabPair`].
+/// Slab-pair back-projection dispatched on [`KernelImpl`] and the tile
+/// shape: the one route every pipeline calls. `tile: Some` runs the
+/// tiled driver and returns its per-tile reports (the pipelines' span
+/// attribution); `tile: None` runs the untiled pair driver with no
+/// reports. All four kernel × tile routes are bit-identical.
 #[allow(clippy::too_many_arguments)] // mirrors backproject_pair_tiled_reporting + kernel
 pub fn backproject_pair_batch_reporting(
     pool: &Pool,
@@ -486,24 +292,32 @@ pub fn backproject_pair_batch_reporting(
     batch: usize,
     tile: Option<TileConfig>,
 ) -> (Volume, Vec<TileReport>) {
-    match (kernel, tile) {
-        (KernelImpl::Scalar, Some(t)) => {
-            backproject_pair_tiled_reporting(pool, mats, projs, nv, dims, pair, batch, t)
-        }
-        (KernelImpl::Scalar, None) => (
-            backproject_pair_with(pool, mats, projs, nv, dims, pair, batch),
-            Vec::new(),
-        ),
-        (KernelImpl::Lanes(mode), Some(t)) => {
-            let samplers = LaneSampler::wrap(projs, mode);
-            backproject_pair_tiled_reporting(pool, mats, &samplers, nv, dims, pair, batch, t)
-        }
-        (KernelImpl::Lanes(mode), None) => {
-            let samplers = LaneSampler::wrap(projs, mode);
-            (
-                backproject_pair_with(pool, mats, &samplers, nv, dims, pair, batch),
+    #[allow(clippy::too_many_arguments)] // the dispatch arguments, generic over the sampler
+    fn route<S: Sampler>(
+        pool: &Pool,
+        mats: &[ProjectionMatrix],
+        samplers: &[S],
+        nv: usize,
+        dims: Dims3,
+        pair: SlabPair,
+        batch: usize,
+        tile: Option<TileConfig>,
+    ) -> (Volume, Vec<TileReport>) {
+        match tile {
+            Some(t) => {
+                backproject_pair_tiled_reporting(pool, mats, samplers, nv, dims, pair, batch, t)
+            }
+            None => (
+                backproject_pair_with(pool, mats, samplers, nv, dims, pair, batch),
                 Vec::new(),
-            )
+            ),
+        }
+    }
+    match kernel {
+        KernelImpl::Scalar => route(pool, mats, projs, nv, dims, pair, batch, tile),
+        KernelImpl::Lanes => {
+            let samplers = LaneSampler::wrap(projs);
+            route(pool, mats, &samplers, nv, dims, pair, batch, tile)
         }
     }
 }
@@ -511,9 +325,8 @@ pub fn backproject_pair_batch_reporting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::warp::backproject_warp;
+    use crate::warp::{backproject_warp, WARP_BATCH};
     use ct_core::geometry::CbctGeometry;
-    use ct_core::metrics::nrmse;
     use ct_core::problem::Dims2;
     use ct_core::projection::{ProjectionImage, ProjectionStack};
 
@@ -537,7 +350,7 @@ mod tests {
     fn strict_lane_column_is_bit_identical_to_warp_fast_path() {
         let (geo, _, stack) = setup(1, 8);
         let q = stack.iter().next().unwrap().transposed();
-        let lane = LaneSampler::new(&q, LaneMode::Strict);
+        let lane = LaneSampler::new(&q);
         let nv = geo.detector.nv as f32;
         // u positions across interior and borders; v series crossing in
         // and out of range, lengths exercising chunk tails.
@@ -570,7 +383,7 @@ mod tests {
                 let pool = Pool::new(threads);
                 let v = backproject_batch(
                     &pool,
-                    KernelImpl::Lanes(LaneMode::Strict),
+                    KernelImpl::Lanes,
                     &mats,
                     &refs,
                     stack.dims().nv,
@@ -584,83 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn blocking_shapes_are_bitwise_equivalent() {
-        let (geo, mats, stack) = setup(40, 16);
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let refs: Vec<&TransposedProjection> = transposed.iter().collect();
-        let samplers = LaneSampler::wrap(&refs, LaneMode::Strict);
-        let nv = stack.dims().nv;
-        let unblocked = backproject_lanes_with(
-            &Pool::serial(),
-            &mats,
-            &samplers,
-            nv,
-            geo.volume,
-            WARP_BATCH,
-            LanesBlocking {
-                block_batches: 1,
-                j_tile: geo.volume.ny,
-            },
-        );
-        for blocking in [
-            LanesBlocking::default(),
-            LanesBlocking {
-                block_batches: 2,
-                j_tile: 3,
-            },
-            LanesBlocking {
-                block_batches: 100,
-                j_tile: 1,
-            },
-        ] {
-            let v = backproject_lanes_with(
-                &Pool::serial(),
-                &mats,
-                &samplers,
-                nv,
-                geo.volume,
-                WARP_BATCH,
-                blocking,
-            );
-            assert_eq!(v.data(), unblocked.data(), "{blocking:?}");
-        }
-    }
-
-    #[test]
-    fn fma_mode_stays_within_documented_bound() {
-        let (geo, mats, stack) = setup(24, 16);
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let refs: Vec<&TransposedProjection> = transposed.iter().collect();
-        let strict = backproject_batch(
-            &Pool::serial(),
-            KernelImpl::Lanes(LaneMode::Strict),
-            &mats,
-            &refs,
-            stack.dims().nv,
-            geo.volume,
-            WARP_BATCH,
-            None,
-        );
-        let fma = backproject_batch(
-            &Pool::serial(),
-            KernelImpl::Lanes(LaneMode::Fma),
-            &mats,
-            &refs,
-            stack.dims().nv,
-            geo.volume,
-            WARP_BATCH,
-            None,
-        );
-        let e = nrmse(strict.data(), fma.data()).unwrap();
-        assert!(e < FMA_NRMSE_BOUND, "nrmse {e}");
-    }
-
-    #[test]
     fn kernel_impl_names_and_default() {
-        assert_eq!(KernelImpl::default(), KernelImpl::Lanes(LaneMode::Strict));
+        assert_eq!(KernelImpl::default(), KernelImpl::Lanes);
         assert_eq!(KernelImpl::Scalar.name(), "scalar");
-        assert_eq!(KernelImpl::Lanes(LaneMode::Strict).name(), "lanes");
-        assert_eq!(KernelImpl::Lanes(LaneMode::Fma).name(), "lanes-fma");
+        assert_eq!(KernelImpl::Lanes.name(), "lanes");
     }
 
     #[test]
@@ -684,7 +424,7 @@ mod tests {
             );
             let (lanes, _) = backproject_pair_batch_reporting(
                 &Pool::new(2),
-                KernelImpl::Lanes(LaneMode::Strict),
+                KernelImpl::Lanes,
                 &mats,
                 &refs,
                 nv,
@@ -695,21 +435,5 @@ mod tests {
             );
             assert_eq!(lanes.data(), scalar.data(), "tile {tile:?}");
         }
-    }
-
-    #[test]
-    fn blocking_resolve_clamps() {
-        let (jt, bb) = LanesBlocking::default().resolve(64, 64, 96, 32, 3);
-        assert!((1..=64).contains(&jt));
-        assert!((1..=3).contains(&bb));
-        let (jt, bb) = LanesBlocking {
-            block_batches: 100,
-            j_tile: 100,
-        }
-        .resolve(8, 16, 32, 32, 2);
-        assert_eq!((jt, bb), (8, 2));
-        // Degenerate shapes must not divide by zero.
-        let (jt, bb) = LanesBlocking::default().resolve(0, 0, 0, 0, 0);
-        assert_eq!((jt, bb), (1, 1));
     }
 }

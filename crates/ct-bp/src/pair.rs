@@ -9,7 +9,7 @@
 //! sub-volumes. Each pair costs the same as a single slab of the standard
 //! kernel, preserving the full 1/6 arithmetic saving at any scale.
 
-use crate::warp::{ColumnBatch, Sampler, SweepBuffers, WARP_BATCH};
+use crate::warp::{sweep_column, Sampler, SweepBuffers, WARP_BATCH};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
@@ -44,6 +44,13 @@ impl SlabPair {
             )));
         }
         Ok(Self { nz_full, k0, len })
+    }
+
+    /// The single pair covering a whole volume (`k0 = 0`,
+    /// `len = nz_full / 2`), whose pair-local column *is* the full
+    /// k-major column. `None` for an odd or zero `nz_full`.
+    pub(crate) fn whole(nz_full: usize) -> Option<Self> {
+        Self::new(nz_full, 0, nz_full / 2).ok()
     }
 
     /// Split the lower half of a volume into `r` equal slab pairs.
@@ -139,20 +146,9 @@ pub fn backproject_pair_with<S: Sampler>(
         let mut buf = SweepBuffers::new(pair.len);
         for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
             for (j, col) in slice.chunks_exact_mut(local_nz).enumerate().take(ny) {
+                // Depth sweep starting at the pair's global z offset.
                 let jf = j as f32;
-                let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                // Depth sweep starting at the pair's global z offset;
-                // the local column is the upper slab followed by its
-                // Theorem-1 mirror in ascending global order.
-                buf.reset();
-                cb.accumulate_into(samplers_b, pair.k0, vmax, &mut buf);
-                let (col_up, col_down) = col.split_at_mut(pair.len);
-                for (dst, src) in col_up.iter_mut().zip(&buf.up) {
-                    *dst += *src;
-                }
-                for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
-                    *dst += *src;
-                }
+                sweep_column(rows_b, samplers_b, ifl, jf, pair.k0, vmax, &mut buf, col);
             }
         }
     });

@@ -18,7 +18,7 @@
 //! observability spans (tile-level load balance in traces).
 
 use crate::pair::SlabPair;
-use crate::warp::{ColumnBatch, Sampler, SweepBuffers, WARP_BATCH};
+use crate::warp::{sweep_column, Sampler, SweepBuffers, WARP_BATCH};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
@@ -176,19 +176,10 @@ fn accumulate_tile<S: Sampler>(
         for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
             // analyze: allow(bounds, reason = "local_nz = 2 * pair.len and SlabPair::new rejects len == 0")
             for (j, col) in plane.chunks_exact_mut(local_nz).enumerate() {
+                // The untiled driver's column body, offset by the sub
+                // pair's origin.
                 let jf = j as f32;
-                let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                // Same depth-sweep structure (and therefore the same bits)
-                // as the untiled drivers, offset by the sub pair's origin.
-                buf.reset();
-                cb.accumulate_into(samplers_b, sub.k0, vmax, &mut buf);
-                let (up_half, down_half) = col.split_at_mut(sub.len);
-                for (dst, src) in up_half.iter_mut().zip(&buf.up) {
-                    *dst += *src;
-                }
-                for (dst, src) in down_half.iter_mut().rev().zip(&buf.down) {
-                    *dst += *src;
-                }
+                sweep_column(rows_b, samplers_b, ifl, jf, sub.k0, vmax, &mut buf, col);
             }
         }
     }
@@ -310,7 +301,7 @@ pub fn backproject_tiled_with<S: Sampler>(
 ) -> Volume {
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert!(dims.nz.is_multiple_of(2), "tiled kernel needs even Nz");
-    let Ok(pair) = SlabPair::new(dims.nz, 0, dims.nz / 2) else {
+    let Some(pair) = SlabPair::whole(dims.nz) else {
         // Only reachable for a degenerate zero-depth volume.
         return Volume::zeros(dims, VolumeLayout::KMajor);
     };

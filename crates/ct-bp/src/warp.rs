@@ -13,6 +13,7 @@
 //! count of the volume data which is stored in the global memory",
 //! Section 3.3.1).
 
+use crate::pair::{backproject_pair_with, SlabPair};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
 use ct_core::projection::{ProjectionStack, TransposedProjection};
@@ -326,6 +327,40 @@ impl ColumnBatch {
     }
 }
 
+/// Add one projection batch to one pair-local voxel column `(i, j)`:
+/// lane setup, the depth sweep from global depth `k0`, then one update
+/// per voxel of the upper slab (`col[..len]`, ascending) and of its
+/// Theorem-1 mirror (`col[len..]`, stored in ascending global order, so
+/// filled in reverse). Both the untiled and the tiled driver run every
+/// column through this one body, which is what makes them bit-identical.
+#[allow(clippy::too_many_arguments)] // the flat per-column dataflow
+#[inline]
+pub(crate) fn sweep_column<S: Sampler>(
+    rows: &[[[f32; 4]; 3]],
+    samplers: &[S],
+    ifl: f32,
+    jf: f32,
+    k0: usize,
+    vmax: f32,
+    buf: &mut SweepBuffers,
+    col: &mut [f32],
+) {
+    // "Lane" setup: per projection of the batch, the constants of the
+    // voxel column (Listing 1 lines 11-14).
+    let cb = ColumnBatch::compute(rows, ifl, jf);
+    // Listing 1 lines 15-30 as a depth sweep: batch-local accumulation,
+    // then one volume update per voxel and its Theorem-1 mirror.
+    buf.reset();
+    cb.accumulate_into(samplers, k0, vmax, buf);
+    let (col_up, col_down) = col.split_at_mut(buf.up.len());
+    for (dst, src) in col_up.iter_mut().zip(&buf.up) {
+        *dst += *src;
+    }
+    for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
+        *dst += *src;
+    }
+}
+
 /// Fixed-shape pairwise reduction of 8 lanes (order never depends on
 /// runtime state, keeping every kernel bit-deterministic).
 #[inline]
@@ -335,7 +370,9 @@ fn tree8(a: &[f32; LANE_WIDTH]) -> f32 {
 }
 
 /// Generic batched kernel: Algorithm 4 loop structure with Listing 1's
-/// 32-projection batching, over any projection access path.
+/// 32-projection batching, over any projection access path — the
+/// untiled [`crate::pair::backproject_pair_with`] driver run on the
+/// single slab pair covering the whole volume.
 ///
 /// Output is k-major; `dims.nz` must be even.
 pub fn backproject_warp_with<S: Sampler>(
@@ -347,43 +384,12 @@ pub fn backproject_warp_with<S: Sampler>(
     batch: usize,
 ) -> Volume {
     // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
     assert!(dims.nz.is_multiple_of(2), "warp kernel needs even Nz");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
-    let (ny, nz) = (dims.ny, dims.nz);
-    let half = nz / 2;
-    let rows: Vec<[[f32; 4]; 3]> = mats.iter().map(|m| m.rows_f32()).collect();
-
-    let vmax = nv as f32 - 1.0;
-    let mut vol = Volume::zeros(dims, VolumeLayout::KMajor);
-    let chunk = ny * nz;
-    pool.parallel_chunks_mut_indexed(vol.data_mut(), chunk, |i, _start, slice| {
-        let ifl = i as f32;
-        let mut buf = SweepBuffers::new(half);
-        for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
-            for (j, col) in slice.chunks_exact_mut(nz).enumerate().take(ny) {
-                let jf = j as f32;
-                // "Lane" setup: per projection of the batch, the constants
-                // of the voxel column (Listing 1 lines 11-14).
-                let cb = ColumnBatch::compute(rows_b, ifl, jf);
-                // Listing 1 lines 15-30 as a depth sweep: batch-local
-                // accumulation, then one volume update per voxel and its
-                // Theorem-1 mirror.
-                buf.reset();
-                cb.accumulate_into(samplers_b, 0, vmax, &mut buf);
-                let (col_up, col_down) = col.split_at_mut(half);
-                for (dst, src) in col_up.iter_mut().zip(&buf.up) {
-                    *dst += *src;
-                }
-                for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
-                    *dst += *src;
-                }
-            }
-        }
-    });
-    vol
+    let Some(pair) = SlabPair::whole(dims.nz) else {
+        // Only reachable for a degenerate zero-depth volume.
+        return Volume::zeros(dims, VolumeLayout::KMajor);
+    };
+    backproject_pair_with(pool, mats, samplers, nv, dims, pair, batch)
 }
 
 /// The paper's best configuration (`L1-Tran`): transposed projections,

@@ -47,14 +47,15 @@
 //! the hot path. [`model_divergence`] compares a measured
 //! [`DistReport`] against the paper's analytic model (Eqs. 8–19).
 
+use crate::batch::{check_batch, BatchAccumulator};
 use crate::grid::RankGrid;
 use crate::ring::RingBuffer;
-use ct_bp::fdk_scale;
-use ct_bp::lanes::{backproject_pair_batch_reporting, KernelImpl};
+use ct_bp::lanes::KernelImpl;
 use ct_bp::tiled::TileConfig;
+use ct_bp::{fdk_scale, BpConfig};
 use ct_comm::{AllGatherAlgorithm, Comm, Universe};
 use ct_core::error::{CtError, Result};
-use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
+use ct_core::geometry::CbctGeometry;
 use ct_core::problem::Dims3;
 use ct_core::projection::{ProjectionImage, TransposedProjection};
 use ct_core::volume::{Volume, VolumeLayout};
@@ -143,8 +144,8 @@ pub struct DistConfig {
     /// tiling changes scheduling and adds per-tile `bp.tile` spans.
     pub tile: Option<TileConfig>,
     /// Column-sweep implementation for the kernel (scalar oracle vs
-    /// lane-array; see [`ct_bp::lanes`]). The default reads the
-    /// `IFDK_KERNEL` env var; strict lanes is bit-identical to scalar.
+    /// lane-array; see [`ct_bp::lanes`]). Defaults to
+    /// [`KernelImpl::Lanes`], which is bit-identical to scalar.
     pub kernel: KernelImpl,
     /// Worker threads per rank for filtering and the kernel.
     pub threads_per_rank: usize,
@@ -185,7 +186,7 @@ impl DistConfig {
             filter: FilterConfig::default(),
             batch: 32,
             tile: Some(TileConfig::AUTO),
-            kernel: KernelImpl::from_env(),
+            kernel: KernelImpl::Lanes,
             threads_per_rank: 1,
             ring_capacity: 64,
             allgather: AllGatherAlgorithm::Ring,
@@ -214,10 +215,7 @@ impl DistConfig {
                 2 * self.grid.rows
             )));
         }
-        if self.batch == 0 || self.batch > 32 {
-            return Err(CtError::InvalidConfig("batch must be in 1..=32".into()));
-        }
-        Ok(())
+        check_batch(self.batch)
     }
 }
 
@@ -332,10 +330,9 @@ pub fn reconstruct_distributed(
     let universe = Universe::with_timeout(cfg.timeout);
     let t0 = clock::now();
 
-    let mats = cfg.geo.projection_matrices();
     let launched = universe
         .launch_with_stats(n_ranks, |comm| {
-            run_rank(cfg, input, output, &mats, comm, live_reg.as_ref())
+            run_rank(cfg, input, output, comm, live_reg.as_ref())
         })
         .map_err(|e| CtError::InvalidConfig(format!("distributed run failed: {e}")));
 
@@ -494,7 +491,6 @@ fn run_rank(
     cfg: &DistConfig,
     input: &PfsStore,
     output: &PfsStore,
-    mats: &[ProjectionMatrix],
     comm: &Comm,
     live: Option<&LiveRegistry>,
 ) -> Result<()> {
@@ -549,7 +545,6 @@ fn run_rank(
         // ------------------------------------------------ Filtering thread
         let flt_ring = to_gather.clone();
         let flt_obs = obs.clone();
-        let flt_pool = pool;
         let flt_range = my_range.clone();
         let filterer_ref = &filterer;
         let flt = s.spawn(move || -> Result<()> {
@@ -571,7 +566,6 @@ fn run_rank(
                     let img = ProjectionImage::from_vec(geo.detector, data)?;
                     let q = {
                         let _sp = track.span("filter").with_index(i as u64);
-                        let _ = &flt_pool; // reserved for multi-projection batching
                         filterer_ref.filter_indexed(i, &img)
                     };
                     if flt_ring.push(q.into_vec()).is_err() {
@@ -589,13 +583,13 @@ fn run_rank(
         // ------------------------------------------- Back-projection thread
         let bp_ring = to_bp.clone();
         let bp_obs = obs.clone();
-        let bp_pool = pool;
-        let batch = cfg.batch;
-        let tile_cfg = cfg.tile;
-        let kernel = cfg.kernel;
+        let bp_cfg = BpConfig {
+            batch: cfg.batch,
+            tile: cfg.tile,
+            kernel: cfg.kernel,
+            ..BpConfig::default()
+        };
         let throttle = cfg.bp_throttle;
-        let dims = geo.volume;
-        let nv = geo.detector.nv;
         let bp_per = geo.detector.len();
         let bp = s.spawn(move || -> Result<Volume> {
             let track = bp_obs.track(rank as u32, ThreadRole::Backprojection);
@@ -610,10 +604,7 @@ fn run_rank(
                 }
             }
             let _closer = CloseOnDrop(bp_ring.clone());
-            let mut acc = Volume::zeros(
-                Dims3::new(dims.nx, dims.ny, pair.local_nz()),
-                VolumeLayout::KMajor,
-            );
+            let mut acc = BatchAccumulator::new(geo, pair, bp_cfg, pool);
             let mut batch_idx = 0u64;
             loop {
                 // Fault injection: delay each batch so the inbound ring
@@ -622,48 +613,31 @@ fn run_rank(
                 if let Some(d) = throttle {
                     std::thread::sleep(d);
                 }
-                let mut items: Vec<(usize, u64, TransposedProjection)> = Vec::with_capacity(batch);
-                while items.len() < batch {
-                    match bp_ring.pop() {
-                        Some(x) => items.push(x),
-                        None => break,
-                    }
-                }
-                if items.is_empty() {
-                    break;
-                }
-                let batch_mats: Vec<ProjectionMatrix> =
-                    items.iter().map(|(i, _, _)| mats[*i]).collect();
-                let samplers: Vec<&TransposedProjection> =
-                    items.iter().map(|(_, _, q)| q).collect();
                 // The batch consumes everything the [op_lo, op_hi]
                 // AllGather ops produced.
-                let op_lo = items.iter().map(|(_, o, _)| *o).min().unwrap_or(0);
-                let op_hi = items.iter().map(|(_, o, _)| *o).max().unwrap_or(0);
+                let (mut op_lo, mut op_hi) = (u64::MAX, 0u64);
+                let n = acc.fill(|| {
+                    let (i, o, q) = bp_ring.pop()?;
+                    op_lo = op_lo.min(o);
+                    op_hi = op_hi.max(o);
+                    Some((i, q))
+                });
+                if n == 0 {
+                    break;
+                }
                 {
                     let mut sp = track
                         .span("backprojection")
                         .with_index(batch_idx)
                         .with_deps("allgather", op_lo, op_hi);
-                    sp.set_bytes((items.len() * bp_per * 4) as u64);
-                    let (part, reports) = backproject_pair_batch_reporting(
-                        &bp_pool,
-                        kernel,
-                        &batch_mats,
-                        &samplers,
-                        nv,
-                        dims,
-                        pair,
-                        batch,
-                        tile_cfg,
-                    );
+                    sp.set_bytes((n * bp_per * 4) as u64);
                     // Tile intervals were measured on pool workers (which
                     // cannot own a track); attribute them here, tagged by
                     // tile index, so traces show tile-level load balance
-                    // (`reports` is empty on the untiled path). The tile
-                    // set is a pure function of the config, keeping the
-                    // span structure deterministic.
-                    for r in &reports {
+                    // (no reports on the untiled path). The tile set is a
+                    // pure function of the config, keeping the span
+                    // structure deterministic.
+                    for r in &acc.flush()? {
                         track.record_completed(
                             "bp.tile",
                             Some(r.tile.index as u64),
@@ -672,11 +646,10 @@ fn run_rank(
                             r.finished,
                         );
                     }
-                    acc.accumulate(&part)?;
                 }
                 batch_idx += 1;
             }
-            Ok(acc)
+            acc.finish()
         });
 
         // ------------------------------------------------------ Main thread

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod batch;
 pub mod distributed;
 pub mod grid;
 pub mod plan;

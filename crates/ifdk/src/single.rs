@@ -7,10 +7,10 @@
 //! paper's Section 3.1 heterogeneity argument in miniature: the filter
 //! latency hides behind the much heavier back-projection.
 
+use crate::batch::{check_batch, BatchAccumulator};
 use crate::ring::RingBuffer;
-use ct_bp::lanes::backproject_batch;
 use ct_bp::warp::WARP_BATCH;
-use ct_bp::{backproject, fdk_scale, BpConfig};
+use ct_bp::{backproject, fdk_scale, BpConfig, SlabPair};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::CbctGeometry;
 use ct_core::projection::{ProjectionStack, TransposedProjection};
@@ -84,6 +84,7 @@ pub fn reconstruct(
     opts: &ReconOptions,
 ) -> Result<Volume> {
     check_inputs(geo, projections)?;
+    check_batch(opts.bp.batch)?;
     let pool = opts.pool();
     let filterer = Filterer::new(geo, opts.filter);
     // filter_stack applies Parker short-scan weights internally when the
@@ -132,18 +133,12 @@ fn reconstruct_pipelined_impl(
     live: Option<&LiveRegistry>,
 ) -> Result<Volume> {
     check_inputs(geo, projections)?;
-    if !geo.volume.nz.is_multiple_of(2) {
-        return Err(CtError::InvalidConfig(
-            "pipelined reconstruction uses the symmetric kernel: Nz must be even".into(),
-        ));
-    }
+    let pair = SlabPair::new(geo.volume.nz, 0, geo.volume.nz / 2)?;
+    check_batch(opts.bp.batch)?;
     let pool = opts.pool();
     let filterer = Filterer::new(geo, opts.filter);
-    let mats = geo.projection_matrices();
     let ring: RingBuffer<(usize, TransposedProjection)> = RingBuffer::new(opts.ring_capacity);
-    let batch = opts.bp.batch.clamp(1, WARP_BATCH);
-    let nv = geo.detector.nv;
-    let dims = geo.volume;
+    let mut acc = BatchAccumulator::new(geo, pair, opts.bp, pool);
 
     // Live telemetry: both stages process Np projections; the ring's
     // occupancy and in-flight stall waits go out through a named probe.
@@ -180,44 +175,19 @@ fn reconstruct_pipelined_impl(
 
         // Back-projection thread role (run on this thread): consume fixed
         // `batch`-sized groups so results are batch-deterministic.
-        let mut acc = Volume::zeros(dims, VolumeLayout::KMajor);
         loop {
-            let mut batch_items: Vec<(usize, TransposedProjection)> = Vec::with_capacity(batch);
-            while batch_items.len() < batch {
-                match ring.pop() {
-                    Some(item) => batch_items.push(item),
-                    None => break,
-                }
-            }
-            if batch_items.is_empty() {
+            let n = acc.fill(|| ring.pop());
+            if n == 0 {
                 break;
             }
-            let batch_mats: Vec<_> = batch_items.iter().map(|(i, _)| mats[*i]).collect();
-            let samplers: Vec<&TransposedProjection> = batch_items.iter().map(|(_, q)| q).collect();
-            // All dispatch routes (tiled/untiled x scalar/strict-lanes)
-            // are bit-identical; the config only changes scheduling and
-            // instruction mix, not arithmetic.
             let started = bp_cell.as_ref().map(|_| clock::now());
-            let part = backproject_batch(
-                &pool,
-                opts.bp.kernel,
-                &batch_mats,
-                &samplers,
-                nv,
-                dims,
-                batch,
-                opts.bp.tile,
-            );
-            acc.accumulate(&part)?;
+            acc.flush()?;
             if let (Some(cell), Some(started)) = (&bp_cell, started) {
-                cell.record_batch(
-                    batch_items.len() as u64,
-                    started.elapsed().as_nanos() as u64,
-                );
+                cell.record_batch(n as u64, started.elapsed().as_nanos() as u64);
             }
         }
         flt.join().expect("filter thread panicked");
-        Ok(acc)
+        acc.finish()
     })?;
 
     let mut vol = vol.into_layout(VolumeLayout::IMajor);

@@ -8,13 +8,11 @@
 //! running volume, so the work left at scan end is at most one partial
 //! batch plus the final reshape.
 
-use ct_bp::lanes::{backproject_batch, KernelImpl};
-use ct_bp::tiled::TileConfig;
-use ct_bp::warp::WARP_BATCH;
-use ct_bp::{fdk_scale, BpConfig};
+use crate::batch::{check_batch, BatchAccumulator};
+use ct_bp::{fdk_scale, BpConfig, SlabPair};
 use ct_core::error::{CtError, Result};
-use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
-use ct_core::projection::{ProjectionImage, TransposedProjection};
+use ct_core::geometry::CbctGeometry;
+use ct_core::projection::ProjectionImage;
 use ct_core::volume::{Volume, VolumeLayout};
 use ct_filter::{FilterConfig, Filterer};
 use ct_par::Pool;
@@ -22,15 +20,9 @@ use ct_par::Pool;
 /// Incremental FDK reconstructor.
 pub struct StreamingReconstructor {
     geo: CbctGeometry,
-    mats: Vec<ProjectionMatrix>,
     filterer: Filterer,
-    pool: Pool,
-    batch: usize,
-    tile: Option<TileConfig>,
-    kernel: KernelImpl,
     apply_scale: bool,
-    pending: Vec<(usize, TransposedProjection)>,
-    acc: Volume,
+    acc: BatchAccumulator,
     next_index: usize,
 }
 
@@ -44,25 +36,13 @@ impl StreamingReconstructor {
         apply_scale: bool,
     ) -> Result<Self> {
         geo.validate()?;
-        if !geo.volume.nz.is_multiple_of(2) {
-            return Err(CtError::InvalidConfig(
-                "streaming reconstruction uses the symmetric kernel: Nz must be even".into(),
-            ));
-        }
-        let mats = geo.projection_matrices();
-        let filterer = Filterer::new(&geo, filter);
-        let acc = Volume::zeros(geo.volume, VolumeLayout::KMajor);
+        let pair = SlabPair::new(geo.volume.nz, 0, geo.volume.nz / 2)?;
+        check_batch(bp.batch)?;
         Ok(Self {
-            batch: bp.batch.clamp(1, WARP_BATCH),
-            tile: bp.tile,
-            kernel: bp.kernel,
+            filterer: Filterer::new(&geo, filter),
+            acc: BatchAccumulator::new(&geo, pair, bp, pool),
             geo,
-            mats,
-            filterer,
-            pool,
             apply_scale,
-            pending: Vec::new(),
-            acc,
             next_index: 0,
         })
     }
@@ -74,7 +54,7 @@ impl StreamingReconstructor {
 
     /// Projections still buffered (not yet back-projected).
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.acc.pending()
     }
 
     /// Feed the next projection (they must arrive in acquisition order).
@@ -93,46 +73,24 @@ impl StreamingReconstructor {
             });
         }
         let q = self.filterer.filter_indexed(self.next_index, img);
-        self.pending.push((self.next_index, q.transposed()));
+        let full = self.acc.push(self.next_index, q.transposed());
         self.next_index += 1;
-        if self.pending.len() >= self.batch {
-            self.flush_pending()?;
+        if full {
+            self.acc.flush()?;
         }
-        Ok(())
-    }
-
-    fn flush_pending(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let mats: Vec<ProjectionMatrix> = self.pending.iter().map(|(i, _)| self.mats[*i]).collect();
-        let samplers: Vec<&TransposedProjection> = self.pending.iter().map(|(_, q)| q).collect();
-        let part = backproject_batch(
-            &self.pool,
-            self.kernel,
-            &mats,
-            &samplers,
-            self.geo.detector.nv,
-            self.geo.volume,
-            self.batch,
-            self.tile,
-        );
-        self.acc.accumulate(&part)?;
-        self.pending.clear();
         Ok(())
     }
 
     /// Finish the scan: back-project any partial batch and return the
     /// i-major volume. Fails if projections are missing.
-    pub fn finish(mut self) -> Result<Volume> {
+    pub fn finish(self) -> Result<Volume> {
         if self.next_index != self.geo.num_projections {
             return Err(CtError::InvalidConfig(format!(
                 "scan incomplete: fed {} of {} projections",
                 self.next_index, self.geo.num_projections
             )));
         }
-        self.flush_pending()?;
-        let mut vol = self.acc.into_layout(VolumeLayout::IMajor);
+        let mut vol = self.acc.finish()?.into_layout(VolumeLayout::IMajor);
         if self.apply_scale {
             vol.scale(fdk_scale(&self.geo));
         }
@@ -143,8 +101,8 @@ impl StreamingReconstructor {
     /// (pending projections included) — the "watch the volume appear"
     /// preview.
     pub fn preview(&mut self) -> Result<Volume> {
-        self.flush_pending()?;
-        let mut vol = self.acc.clone().into_layout(VolumeLayout::IMajor);
+        self.acc.flush()?;
+        let mut vol = self.acc.volume().clone().into_layout(VolumeLayout::IMajor);
         if self.apply_scale {
             vol.scale(fdk_scale(&self.geo));
         }

@@ -200,3 +200,92 @@ fn thread_count_does_not_change_results() {
         "parallelism must be bit-exact"
     );
 }
+
+/// Every shipped pipeline shares one batch → back-project → accumulate
+/// loop, so they must agree bit for bit, not just at NRMSE: Np = 40 is
+/// one full 32-projection batch plus a tail, Np = 64 two full batches.
+#[test]
+fn pipelines_are_bit_identical() {
+    use ct_par::Pool;
+    use ct_pfs::PfsStore;
+    use ifdk::distributed::{download_volume, upload_projections};
+    use ifdk::{reconstruct_distributed, DistConfig, RankGrid, StreamingReconstructor};
+
+    for np in [40, 64] {
+        let (geo, _, stack) = scene(16, np);
+        let opts = ReconOptions::default();
+        let reference = reconstruct_pipelined(&geo, &stack, &opts).unwrap();
+        let bits = |v: &ct_core::volume::Volume| -> Vec<u32> {
+            v.data().iter().map(|x| x.to_bits()).collect()
+        };
+        let want = bits(&reference);
+
+        let untiled = ReconOptions {
+            bp: BpConfig {
+                tile: None,
+                ..opts.bp
+            },
+            ..opts
+        };
+        let piped = reconstruct_pipelined(&geo, &stack, &untiled).unwrap();
+        assert_eq!(bits(&piped), want, "np {np}: pipelined, tile None");
+
+        let mut s =
+            StreamingReconstructor::new(geo.clone(), opts.filter, opts.bp, Pool::new(2), true)
+                .unwrap();
+        for img in stack.iter() {
+            s.feed(img).unwrap();
+        }
+        assert_eq!(bits(&s.finish().unwrap()), want, "np {np}: streaming");
+
+        let input = PfsStore::memory();
+        upload_projections(&input, &stack).unwrap();
+        let output = PfsStore::memory();
+        let cfg = DistConfig::new(geo.clone(), RankGrid::new(1, 1).unwrap());
+        reconstruct_distributed(&cfg, &input, &output).unwrap();
+        let dist = download_volume(&output, geo.volume).unwrap();
+        assert_eq!(bits(&dist), want, "np {np}: distributed 1x1");
+    }
+}
+
+/// A projection batch outside `1..=32` is a typed configuration error
+/// at every single-node entry point — never a kernel panic, never a
+/// silent clamp.
+#[test]
+fn out_of_range_batch_is_rejected_by_every_entry_point() {
+    use ct_core::error::CtError;
+    use ct_obs::live::LiveRegistry;
+    use ct_par::Pool;
+    use ifdk::{reconstruct_pipelined_live, StreamingReconstructor};
+
+    let (geo, _, stack) = scene(8, 8);
+    for batch in [0, 33] {
+        let opts = ReconOptions {
+            bp: BpConfig {
+                batch,
+                ..BpConfig::default()
+            },
+            ..ReconOptions::default()
+        };
+        let invalid = |r: Result<_, CtError>, what: &str| {
+            assert!(
+                matches!(r, Err(CtError::InvalidConfig(_))),
+                "{what} accepted batch {batch}"
+            );
+        };
+        invalid(reconstruct(&geo, &stack, &opts).map(|_| ()), "reconstruct");
+        invalid(
+            reconstruct_pipelined(&geo, &stack, &opts).map(|_| ()),
+            "reconstruct_pipelined",
+        );
+        invalid(
+            reconstruct_pipelined_live(&geo, &stack, &opts, &LiveRegistry::new()).map(|_| ()),
+            "reconstruct_pipelined_live",
+        );
+        invalid(
+            StreamingReconstructor::new(geo.clone(), opts.filter, opts.bp, Pool::serial(), true)
+                .map(|_| ()),
+            "StreamingReconstructor::new",
+        );
+    }
+}

@@ -1,11 +1,12 @@
 //! Property tests for the lane-array back-projection kernel
 //! (`ct_bp::lanes`): the per-column weight precomputation must agree
 //! with scalar bilinear sampling for arbitrary coordinates including
-//! the border clamps, and projection-batch blocking must be a pure
-//! scheduling choice — block size 1 bitwise-equal to the unblocked
-//! driver, and every other blocking shape bitwise-equal to that.
+//! the border clamps, and lane samplers run through the untiled and
+//! tiled drivers must reproduce the scalar warp kernel bitwise for any
+//! tile shape and thread count.
 
-use ct_bp::lanes::{backproject_lanes_with, LaneMode, LaneSampler, LanesBlocking};
+use ct_bp::lanes::LaneSampler;
+use ct_bp::tiled::{backproject_tiled_with, TileConfig};
 use ct_bp::warp::{backproject_warp_with, Sampler, WARP_BATCH};
 use ct_core::geometry::CbctGeometry;
 use ct_core::interp::{interp2, AxisWeight};
@@ -87,7 +88,7 @@ proptest! {
         len in 1usize..40,
     ) {
         let q = filled_image(Dims2::new(nu, nv), seed).transposed();
-        let lane = LaneSampler::new(&q, LaneMode::Strict);
+        let lane = LaneSampler::new(&q);
         let vs: Vec<f32> = (0..len).map(|k| v0 + k as f32 * dv).collect();
         let weight = 0.37f32;
         let mut got = vec![0.0f32; len];
@@ -107,7 +108,7 @@ proptest! {
 fn lane_column_matches_scalar_on_edge_clamps() {
     let dims = Dims2::new(7, 9);
     let q = filled_image(dims, 0xC0FFEE).transposed();
-    let lane = LaneSampler::new(&q, LaneMode::Strict);
+    let lane = LaneSampler::new(&q);
     let edge = |n: usize| {
         vec![
             -1.5f32,
@@ -151,55 +152,35 @@ proptest! {
     // Full back-projections per case: keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Projection-batch blocking is pure scheduling: block size 1 (with
-    /// a full-width column tile) reproduces the unblocked warp driver
-    /// bitwise, and any other blocking shape reproduces *that* bitwise,
-    /// at any thread count.
+    /// The lane sampler changes instruction mix, not arithmetic: through
+    /// the untiled driver, and through the tiled driver at any tile
+    /// shape, it reproduces the scalar warp kernel bitwise at any thread
+    /// count.
     #[test]
-    fn blocking_block_size_one_equals_unblocked_bitwise(
+    fn lane_drivers_equal_scalar_warp_bitwise(
         n2 in 4usize..8,
         np in 4usize..40,
         seed in any::<u64>(),
-        block_batches in 1usize..5,
-        j_tile in 1usize..20,
+        i_block in 1usize..20,
+        slab_pairs in 1usize..5,
         threads in 1usize..4,
     ) {
         let n = 2 * n2;
         let (geo, stack) = synthetic_case(n, np, seed);
         let mats = geo.projection_matrices();
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let samplers: Vec<LaneSampler> = transposed
-            .iter()
-            .map(|q| LaneSampler::new(q, LaneMode::Strict))
-            .collect();
+        let samplers: Vec<LaneSampler> = transposed.iter().map(LaneSampler::new).collect();
         let nv = geo.detector.nv;
         let pool = Pool::new(threads);
 
-        let unblocked =
+        let scalar =
+            backproject_warp_with(&Pool::serial(), &mats, &transposed, nv, geo.volume, WARP_BATCH);
+        let untiled =
             backproject_warp_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH);
-        let block1 = backproject_lanes_with(
-            &pool,
-            &mats,
-            &samplers,
-            nv,
-            geo.volume,
-            WARP_BATCH,
-            LanesBlocking { block_batches: 1, j_tile: geo.volume.ny },
-        );
-        prop_assert_eq!(bits(block1.data()), bits(unblocked.data()), "block size 1");
-        let blocked = backproject_lanes_with(
-            &pool,
-            &mats,
-            &samplers,
-            nv,
-            geo.volume,
-            WARP_BATCH,
-            LanesBlocking { block_batches, j_tile },
-        );
-        prop_assert_eq!(
-            bits(blocked.data()),
-            bits(unblocked.data()),
-            "block_batches = {block_batches}, j_tile = {j_tile}"
-        );
+        prop_assert_eq!(bits(untiled.data()), bits(scalar.data()), "untiled");
+        let tile = TileConfig { i_block, slab_pairs };
+        let tiled =
+            backproject_tiled_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH, tile);
+        prop_assert_eq!(bits(tiled.data()), bits(scalar.data()), "{:?}", tile);
     }
 }
