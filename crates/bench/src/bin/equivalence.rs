@@ -1,7 +1,7 @@
 //! Kernel equivalence gate: every back-projection variant must agree
 //! with the serial `standard` kernel (Algorithm 2) on randomized
-//! geometries, the tiled driver must be bit-identical across thread
-//! counts, and the lane-array kernel must be bit-identical to its
+//! geometries, the back-projection driver must be bit-identical across
+//! thread counts, and the lane-array kernel must be bit-identical to its
 //! scalar oracle.
 //!
 //! ```text
@@ -11,17 +11,18 @@
 //!
 //! Each trial draws a random (even-`Nz`) volume shape and projection
 //! count, back-projects a synthetic stack with all five Table 3 variants
-//! plus the tiled driver at 1/2/4 threads, and requires normalised RMSE
-//! against `standard` below 1e-5 plus exact equality of the tiled
-//! outputs across pool widths. The lane-array check then runs the
-//! lane kernel at 1/2/4 threads, tiled and untiled, requiring bitwise
-//! equality with the scalar warp kernel. The seed is printed so any
+//! at three tile shapes (automatic, one tile, fine blocks) and requires
+//! normalised RMSE against `standard` below 1e-5, plus exact equality of
+//! the driver's outputs across pool widths 1/2/4. The lane-array check
+//! then runs the lane kernel at every tile shape and 1/2/4 threads,
+//! requiring bitwise equality with the scalar warp kernel. The seed is
+//! printed so any
 //! failure replays with `--seed`. Exit codes follow
 //! `ifdk_bench::check`.
 
 use ct_bp::lanes::{backproject_batch, KernelImpl};
-use ct_bp::tiled::{backproject_tiled_with, TileConfig};
-use ct_bp::warp::WARP_BATCH;
+use ct_bp::tiled::TileConfig;
+use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
 use ct_bp::{backproject, backproject_standard, BpConfig, KernelVariant};
 use ct_core::metrics::nrmse;
 use ct_core::volume::VolumeLayout;
@@ -32,6 +33,26 @@ use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
 
 const TOLERANCE: f64 = 1e-5;
+
+/// The tile shapes every check runs at: the automatic shape, the whole
+/// volume as one tile, and fine blocks split into sub pairs.
+const TILES: [(&str, TileConfig); 3] = [
+    ("auto", TileConfig::AUTO),
+    (
+        "one tile",
+        TileConfig {
+            i_block: usize::MAX,
+            slab_pairs: 1,
+        },
+    ),
+    (
+        "fine",
+        TileConfig {
+            i_block: 3,
+            slab_pairs: 2,
+        },
+    ),
+];
 
 fn pick(rng: &mut StdRng, choices: &[usize]) -> usize {
     choices[rng.gen::<u64>() as usize % choices.len()]
@@ -74,9 +95,9 @@ fn run(args: &[String]) -> Gate {
         let reference =
             backproject_standard(&serial, &mats, &stack, dims).into_layout(VolumeLayout::IMajor);
 
-        // Every Table 3 variant, tiled and untiled, vs the reference.
+        // Every Table 3 variant at every tile shape vs the reference.
         for variant in KernelVariant::ALL {
-            for tile in [None, Some(TileConfig::AUTO)] {
+            for (tag, tile) in TILES {
                 let cfg = BpConfig {
                     variant,
                     batch: WARP_BATCH,
@@ -86,7 +107,6 @@ fn run(args: &[String]) -> Gate {
                 let v = backproject(&serial, cfg, &mats, &stack, dims)
                     .into_layout(VolumeLayout::IMajor);
                 let e = nrmse(reference.data(), v.data()).expect("same shape");
-                let tag = if tile.is_some() { "tiled" } else { "untiled" };
                 if e >= TOLERANCE {
                     failures.push(format!(
                         "trial {trial}: {} ({tag}) vs standard: nrmse {e:.3e} >= {TOLERANCE:.0e}",
@@ -96,39 +116,24 @@ fn run(args: &[String]) -> Gate {
             }
         }
 
-        // The tiled driver must not depend on pool width: bit-identical
-        // at 1, 2 and 4 threads.
+        // The driver must not depend on pool width: bit-identical at 1,
+        // 2 and 4 threads.
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
         let nv = geo.detector.nv;
-        let t1 = backproject_tiled_with(
-            &serial,
-            &mats,
-            &transposed,
-            nv,
-            dims,
-            WARP_BATCH,
-            TileConfig::AUTO,
-        );
+        let auto = TileConfig::AUTO;
+        let t1 = backproject_warp_with(&serial, &mats, &transposed, nv, dims, WARP_BATCH, auto);
         for threads in [2usize, 4] {
             let pool = ct_par::Pool::new(threads);
-            let tn = backproject_tiled_with(
-                &pool,
-                &mats,
-                &transposed,
-                nv,
-                dims,
-                WARP_BATCH,
-                TileConfig::AUTO,
-            );
+            let tn = backproject_warp_with(&pool, &mats, &transposed, nv, dims, WARP_BATCH, auto);
             if t1.data() != tn.data() {
                 failures.push(format!(
-                    "trial {trial}: tiled output differs between 1 and {threads} threads"
+                    "trial {trial}: driver output differs between 1 and {threads} threads"
                 ));
             }
         }
 
-        // Lane-array kernel vs its scalar oracle: bit-identical on every
-        // dispatch route and thread count.
+        // Lane-array kernel vs its scalar oracle: bit-identical at every
+        // tile shape and thread count.
         let refs: Vec<&ct_core::projection::TransposedProjection> = transposed.iter().collect();
         let scalar = backproject_batch(
             &serial,
@@ -138,10 +143,9 @@ fn run(args: &[String]) -> Gate {
             nv,
             dims,
             WARP_BATCH,
-            None,
+            auto,
         );
-        for tile in [None, Some(TileConfig::AUTO)] {
-            let tag = if tile.is_some() { "tiled" } else { "untiled" };
+        for (tag, tile) in TILES {
             for threads in [1usize, 2, 4] {
                 let pool = ct_par::Pool::new(threads);
                 let lanes = backproject_batch(

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Back-projects a synthetic stack with every kernel (`standard`,
-//! `proposed`, `warp`, `lanes`, `tiled`), every projection
+//! `proposed`, `warp`, `lanes`), every projection
 //! layout the kernel supports (`rowmajor`, `transposed`, `blocked`) and
 //! pool widths 1/2/4, reporting median and median-absolute-deviation
 //! GUPS over warmed-up repeats (Section 5.3.3's metric). `--json`
@@ -18,7 +18,7 @@
 //! layout sweep for CI smoke runs.
 
 use ct_bp::lanes::{backproject_batch, KernelImpl};
-use ct_bp::tiled::{backproject_tiled_with, TileConfig};
+use ct_bp::tiled::TileConfig;
 use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
 use ct_bp::{backproject_proposed, backproject_standard};
 use ct_core::geometry::ProjectionMatrix;
@@ -119,20 +119,12 @@ fn main() {
             &mut sink,
         ));
         let mut batched: Vec<KernelRun> = vec![];
-        let warp_t = |p: &Pool| backproject_warp_with(p, &mats, &transposed, nv, dims, WARP_BATCH);
-        let tiled_t = |p: &Pool| {
-            backproject_tiled_with(
-                p,
-                &mats,
-                &transposed,
-                nv,
-                dims,
-                WARP_BATCH,
-                TileConfig::AUTO,
-            )
-        };
-        // The untiled pair driver with lane samplers, through the
-        // pipelines' dispatch entry.
+        // `warp` is the driver with the scalar samplers, `lanes` the same
+        // driver with lane samplers through the pipelines' dispatch
+        // entry; both at the automatic tile shape.
+        let auto = TileConfig::AUTO;
+        let warp_t =
+            |p: &Pool| backproject_warp_with(p, &mats, &transposed, nv, dims, WARP_BATCH, auto);
         let lanes_t = |p: &Pool| {
             backproject_batch(
                 p,
@@ -142,27 +134,20 @@ fn main() {
                 nv,
                 dims,
                 WARP_BATCH,
-                None,
+                auto,
             )
         };
         batched.push(("warp/transposed", &warp_t));
         batched.push(("lanes/transposed", &lanes_t));
-        batched.push(("tiled/transposed", &tiled_t));
         // The full sweep also covers the layouts the paper rejects
         // (Table 3's untransposed and texture-blocked accesses).
-        let warp_r = |p: &Pool| backproject_warp_with(p, &mats, &rowmajor, nv, dims, WARP_BATCH);
-        let warp_b = |p: &Pool| backproject_warp_with(p, &mats, &blocked, nv, dims, WARP_BATCH);
-        let tiled_r = |p: &Pool| {
-            backproject_tiled_with(p, &mats, &rowmajor, nv, dims, WARP_BATCH, TileConfig::AUTO)
-        };
-        let tiled_b = |p: &Pool| {
-            backproject_tiled_with(p, &mats, &blocked, nv, dims, WARP_BATCH, TileConfig::AUTO)
-        };
+        let warp_r =
+            |p: &Pool| backproject_warp_with(p, &mats, &rowmajor, nv, dims, WARP_BATCH, auto);
+        let warp_b =
+            |p: &Pool| backproject_warp_with(p, &mats, &blocked, nv, dims, WARP_BATCH, auto);
         if !quick {
             batched.push(("warp/rowmajor", &warp_r));
             batched.push(("warp/blocked", &warp_b));
-            batched.push(("tiled/rowmajor", &tiled_r));
-            batched.push(("tiled/blocked", &tiled_b));
         }
         for (key, run) in batched {
             let (kernel, layout) = key.split_once('/').expect("kernel/layout key");
@@ -211,15 +196,15 @@ fn main() {
         &rows,
     );
 
-    // The headline comparison: blocked parallel driver vs the serial
-    // Algorithm 2 baseline.
-    if let (Some(tiled), Some(base)) = (
-        report.find("tiled", "transposed", 4),
+    // The headline comparison: the shipped kernel on the parallel
+    // driver vs the serial Algorithm 2 baseline.
+    if let (Some(lanes), Some(base)) = (
+        report.find("lanes", "transposed", 4),
         report.find("standard", "rowmajor", 1),
     ) {
         eprintln!(
-            "tiled/transposed@4 vs standard/rowmajor@1: {:.2}x",
-            tiled.gups_median / base.gups_median
+            "lanes/transposed@4 vs standard/rowmajor@1: {:.2}x",
+            lanes.gups_median / base.gups_median
         );
     }
     // The kernel-generation comparison: lane-array vs scalar warp,

@@ -28,8 +28,8 @@
 //! `f32::mul_add`: on the baseline x86-64 build that is a libm call per
 //! element, and it would change the bits.
 
-use crate::pair::{backproject_pair_with, SlabPair};
-use crate::tiled::{backproject_pair_tiled_reporting, TileConfig, TileReport};
+use crate::pair::SlabPair;
+use crate::tiled::{backproject_pair_into, TileConfig, TileReport};
 use crate::warp::{Sampler, LANE_WIDTH};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::interp::AxisWeight;
@@ -110,8 +110,8 @@ fn blend(a0: f32, a1: f32, b0: f32, b1: f32, d: f32, du: f32, w: f32) -> f32 {
 }
 
 /// A [`Sampler`] running the lane-array sweep over a transposed
-/// projection. Borrowing wrapper, so the existing generic drivers
-/// (warp, pair, tiled) take the lane path with no signature changes.
+/// projection. Borrowing wrapper, so the one generic driver takes the
+/// lane path with no signature changes.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneSampler<'a> {
     proj: &'a TransposedProjection,
@@ -253,9 +253,9 @@ impl Sampler for LaneSampler<'_> {
 
 /// Full-volume batched back-projection over transposed projections,
 /// dispatched on [`KernelImpl`]: the single slab pair covering the whole
-/// volume through [`backproject_pair_batch_reporting`]. Output is
-/// k-major; `dims.nz` must be even.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_tiled_with + kernel
+/// volume through [`backproject_pair_batch_into`], into a fresh volume.
+/// Output is k-major; `dims.nz` must be even.
+#[allow(clippy::too_many_arguments)] // the dispatch arguments
 pub fn backproject_batch(
     pool: &Pool,
     kernel: KernelImpl,
@@ -264,23 +264,23 @@ pub fn backproject_batch(
     nv: usize,
     dims: Dims3,
     batch: usize,
-    tile: Option<TileConfig>,
+    tile: TileConfig,
 ) -> Volume {
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert!(dims.nz.is_multiple_of(2), "symmetric kernel needs even Nz");
-    let Some(pair) = SlabPair::whole(dims.nz) else {
-        // Only reachable for a degenerate zero-depth volume.
-        return Volume::zeros(dims, VolumeLayout::KMajor);
-    };
-    backproject_pair_batch_reporting(pool, kernel, mats, projs, nv, dims, pair, batch, tile).0
+    let mut vol = Volume::zeros(dims, VolumeLayout::KMajor);
+    // `None` only for a degenerate zero-depth volume.
+    if let Some(pair) = SlabPair::whole(dims.nz) {
+        backproject_pair_batch_into(
+            pool, kernel, mats, projs, nv, dims, pair, batch, tile, &mut vol,
+        );
+    }
+    vol
 }
 
-/// Slab-pair back-projection dispatched on [`KernelImpl`] and the tile
-/// shape: the one route every pipeline calls. `tile: Some` runs the
-/// tiled driver and returns its per-tile reports (the pipelines' span
-/// attribution); `tile: None` runs the untiled pair driver with no
-/// reports. All four kernel × tile routes are bit-identical.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_tiled_reporting + kernel
+/// [`backproject_pair_batch_into`] into a fresh k-major pair volume,
+/// returned with the per-tile reports.
+#[allow(clippy::too_many_arguments)] // the dispatch arguments
 pub fn backproject_pair_batch_reporting(
     pool: &Pool,
     kernel: KernelImpl,
@@ -290,34 +290,41 @@ pub fn backproject_pair_batch_reporting(
     dims: Dims3,
     pair: SlabPair,
     batch: usize,
-    tile: Option<TileConfig>,
+    tile: TileConfig,
 ) -> (Volume, Vec<TileReport>) {
-    #[allow(clippy::too_many_arguments)] // the dispatch arguments, generic over the sampler
-    fn route<S: Sampler>(
-        pool: &Pool,
-        mats: &[ProjectionMatrix],
-        samplers: &[S],
-        nv: usize,
-        dims: Dims3,
-        pair: SlabPair,
-        batch: usize,
-        tile: Option<TileConfig>,
-    ) -> (Volume, Vec<TileReport>) {
-        match tile {
-            Some(t) => {
-                backproject_pair_tiled_reporting(pool, mats, samplers, nv, dims, pair, batch, t)
-            }
-            None => (
-                backproject_pair_with(pool, mats, samplers, nv, dims, pair, batch),
-                Vec::new(),
-            ),
-        }
-    }
+    let local = Dims3::new(dims.nx, dims.ny, pair.local_nz());
+    let mut vol = Volume::zeros(local, VolumeLayout::KMajor);
+    let reports = backproject_pair_batch_into(
+        pool, kernel, mats, projs, nv, dims, pair, batch, tile, &mut vol,
+    );
+    (vol, reports)
+}
+
+/// Slab-pair back-projection dispatched on [`KernelImpl`], added in
+/// place into `out` (the k-major pair volume, which may already hold
+/// earlier batches): the crate's one kernel match and the route every
+/// pipeline calls. Returns the driver's per-tile reports, in tile
+/// order. Both kernels are bit-identical at every tile shape.
+#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_into + kernel
+pub fn backproject_pair_batch_into(
+    pool: &Pool,
+    kernel: KernelImpl,
+    mats: &[ProjectionMatrix],
+    projs: &[&TransposedProjection],
+    nv: usize,
+    dims: Dims3,
+    pair: SlabPair,
+    batch: usize,
+    tile: TileConfig,
+    out: &mut Volume,
+) -> Vec<TileReport> {
     match kernel {
-        KernelImpl::Scalar => route(pool, mats, projs, nv, dims, pair, batch, tile),
+        KernelImpl::Scalar => {
+            backproject_pair_into(pool, mats, projs, nv, dims, pair, batch, tile, out)
+        }
         KernelImpl::Lanes => {
             let samplers = LaneSampler::wrap(projs);
-            route(pool, mats, &samplers, nv, dims, pair, batch, tile)
+            backproject_pair_into(pool, mats, &samplers, nv, dims, pair, batch, tile, out)
         }
     }
 }
@@ -329,6 +336,12 @@ mod tests {
     use ct_core::geometry::CbctGeometry;
     use ct_core::problem::Dims2;
     use ct_core::projection::{ProjectionImage, ProjectionStack};
+
+    /// The whole pair as one tile: a single i-block, no sub pairs.
+    const ONE_TILE: TileConfig = TileConfig {
+        i_block: usize::MAX,
+        slab_pairs: 1,
+    };
 
     fn setup(np: usize, n: usize) -> (CbctGeometry, Vec<ProjectionMatrix>, ProjectionStack) {
         let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
@@ -378,7 +391,7 @@ mod tests {
         let reference = backproject_warp(&Pool::serial(), &mats, &stack, geo.volume);
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
         let refs: Vec<&TransposedProjection> = transposed.iter().collect();
-        for tile in [None, Some(TileConfig::AUTO)] {
+        for tile in [TileConfig::AUTO, ONE_TILE] {
             for threads in [1usize, 3] {
                 let pool = Pool::new(threads);
                 let v = backproject_batch(
@@ -410,7 +423,7 @@ mod tests {
         let refs: Vec<&TransposedProjection> = transposed.iter().collect();
         let nv = stack.dims().nv;
         let pair = SlabPair::new(16, 2, 5).unwrap();
-        for tile in [None, Some(TileConfig::AUTO)] {
+        for tile in [TileConfig::AUTO, ONE_TILE] {
             let (scalar, _) = backproject_pair_batch_reporting(
                 &Pool::serial(),
                 KernelImpl::Scalar,

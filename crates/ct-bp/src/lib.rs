@@ -26,16 +26,16 @@
 //! * [`pair`] — symmetric slab-pair back-projection, the unit of output
 //!   decomposition in the distributed framework (each row of ranks owns a
 //!   slab and its mirror — the `2*R` sub-volumes of the paper's Figure 3).
-//! * [`tiled`] — the cache-blocked, thread-parallel driver: the volume is
-//!   partitioned into i-blocks crossed with sub slab pairs, tiles are
-//!   dispatched over [`ct_par::Pool`] with per-tile private output, and
-//!   the assembled result is bit-identical to the untiled kernels at any
-//!   thread count.
+//! * [`tiled`] — the one back-projection driver
+//!   ([`backproject_pair_into`]): it adds projection batches into the
+//!   caller's pair volume in place, in parallel over contiguous i-blocks
+//!   on a [`ct_par::Pool`], walking cache-sized sub slab pairs inside each
+//!   block. The result is bit-identical at any thread count and tile
+//!   shape; every whole-volume and pair entry point is a call of it.
 //! * [`lanes`] — the lane-array generation of the hot column sweep:
 //!   per-column bilinear weights resolved once per `(u, projection)`,
 //!   depth loop in fixed `[f32; 8]` chunks the autovectorizer lowers to
-//!   packed SIMD, run through the same pair and tiled drivers as the
-//!   scalar samplers. Selected by the [`lanes::KernelImpl`] value in
+//!   packed SIMD, run through the same driver as the scalar samplers. Selected by the [`lanes::KernelImpl`] value in
 //!   [`BpConfig::kernel`] (default [`KernelImpl::Lanes`]); bit-identical
 //!   to [`warp`].
 //!
@@ -77,7 +77,7 @@ pub use lanes::{KernelImpl, LaneSampler};
 pub use pair::{backproject_pair, SlabPair};
 pub use proposed::backproject_proposed;
 pub use standard::{backproject_standard, backproject_standard_slab};
-pub use tiled::{backproject_tiled, TileConfig, TileReport};
+pub use tiled::{backproject_pair_into, TileConfig, TileReport};
 pub use variant::{backproject, BpConfig, KernelVariant};
 pub use warp::{backproject_warp, WARP_BATCH};
 

@@ -9,7 +9,8 @@
 //! sub-volumes. Each pair costs the same as a single slab of the standard
 //! kernel, preserving the full 1/6 arithmetic saving at any scale.
 
-use crate::warp::{sweep_column, Sampler, SweepBuffers, WARP_BATCH};
+use crate::tiled::{backproject_pair_into, TileConfig};
+use crate::warp::WARP_BATCH;
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
@@ -107,51 +108,21 @@ pub fn backproject_pair(
     pair: SlabPair,
 ) -> Volume {
     let transposed: Vec<TransposedProjection> = projs.iter().map(|p| p.transposed()).collect();
-    backproject_pair_with(
+    let local = Dims3::new(dims.nx, dims.ny, pair.local_nz());
+    let mut vol = Volume::zeros(local, VolumeLayout::KMajor);
+    let nv = projs.dims().nv;
+    let tile = TileConfig::AUTO;
+    backproject_pair_into(
         pool,
         mats,
         &transposed,
-        projs.dims().nv,
+        nv,
         dims,
         pair,
         WARP_BATCH,
-    )
-}
-
-/// Generic-sampler version of [`backproject_pair`].
-pub fn backproject_pair_with<S: Sampler>(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    samplers: &[S],
-    nv: usize,
-    dims: Dims3,
-    pair: SlabPair,
-    batch: usize,
-) -> Volume {
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert_eq!(dims.nz, pair.nz_full, "pair must match volume Nz");
-    // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
-    assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
-    let (nx, ny) = (dims.nx, dims.ny);
-    let local_nz = pair.local_nz();
-    let rows: Vec<[[f32; 4]; 3]> = mats.iter().map(|m| m.rows_f32()).collect();
-
-    let vmax = nv as f32 - 1.0;
-    let mut vol = Volume::zeros(Dims3::new(nx, ny, local_nz), VolumeLayout::KMajor);
-    let chunk = ny * local_nz;
-    pool.parallel_chunks_mut_indexed(vol.data_mut(), chunk, |i, _start, slice| {
-        let ifl = i as f32;
-        let mut buf = SweepBuffers::new(pair.len);
-        for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
-            for (j, col) in slice.chunks_exact_mut(local_nz).enumerate().take(ny) {
-                // Depth sweep starting at the pair's global z offset.
-                let jf = j as f32;
-                sweep_column(rows_b, samplers_b, ifl, jf, pair.k0, vmax, &mut buf, col);
-            }
-        }
-    });
+        tile,
+        &mut vol,
+    );
     vol
 }
 

@@ -1,19 +1,20 @@
-//! Cache-blocked, slab-tiled parallel back-projection driver.
+//! The cache-blocked, thread-parallel back-projection driver — the one
+//! driver every back-projection route runs through.
 //!
 //! The Table 3 kernels walk the whole volume once per projection batch;
 //! at production sizes a single voxel column's working set already spills
 //! the last-level cache and the batched reuse of [`crate::warp`] stops
-//! paying. This driver partitions the output into **tiles** — an i-range
-//! of voxel columns crossed with a z-symmetric *sub* slab pair (reusing
-//! [`SlabPair`] for the z split, exactly the paper's Figure 3
-//! decomposition recursed one level down) — and dispatches the tiles over
-//! [`ct_par::Pool`] with work stealing.
+//! paying. This driver splits the caller's pair volume into contiguous
+//! **i-blocks** of voxel columns, dispatched over [`ct_par::Pool`] with
+//! work stealing, and inside each block walks z-symmetric *sub* slab
+//! pairs one at a time (reusing [`SlabPair`] for the z split, exactly the
+//! paper's Figure 3 decomposition recursed one level down). One i-block
+//! crossed with one sub pair is a **tile**, sized to stay in cache.
 //!
-//! Every tile owns a private output volume, so threads never share an
-//! output cache line, and each voxel is accumulated by exactly one tile
-//! in a fixed projection order: the assembled result is **bit-identical**
-//! for every thread count, and bit-identical to the untiled
-//! [`crate::warp::backproject_warp_with`] kernel. The per-tile wall-clock
+//! Each batch is added into the caller's volume in place. Workers write
+//! only their own i-block, and each voxel is accumulated by exactly one
+//! tile in a fixed projection order, so the result is **bit-identical**
+//! for every thread count and tile shape. The per-tile wall-clock
 //! intervals are reported back so the caller can attribute them to
 //! observability spans (tile-level load balance in traces).
 
@@ -22,13 +23,13 @@ use crate::warp::{sweep_column, Sampler, SweepBuffers, WARP_BATCH};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
-use ct_core::projection::{ProjectionStack, TransposedProjection};
 use ct_core::volume::{Volume, VolumeLayout};
 use ct_obs::clock::{self, Instant};
 use ct_par::Pool;
 
-/// Tile-shape configuration for the blocked driver. A field set to `0`
-/// means "choose automatically" from the problem shape and pool width.
+/// Tile shape of the back-projection driver. A field set to `0` means
+/// "choose automatically" from the problem shape and pool width; the
+/// shape changes scheduling and cache reuse, never the output bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConfig {
     /// Number of consecutive `i` voxel columns per tile (`0` = auto).
@@ -44,22 +45,19 @@ impl TileConfig {
         slab_pairs: 0,
     };
 
-    /// Resolve the `0 = auto` fields against a concrete problem. The i
-    /// axis is the preferred split (sub-pair splits re-run the per-column
-    /// lane setup once per part), so `slab_pairs` only grows beyond 1
-    /// when a single full-depth column row already busts the ~256 KiB
-    /// cache budget, or the i axis alone cannot give the pool two tiles
-    /// per thread to steal. The i-block is then sized so one tile's
-    /// output (`i_block * ny * 2*sub_len` voxels) stays inside the
-    /// budget.
+    /// Resolve the `0 = auto` fields against a concrete problem. The pool
+    /// parallelises over i-blocks only; sub pairs just bound the cache
+    /// footprint (each re-runs the per-column lane setup), so
+    /// `slab_pairs` only grows beyond 1 when a single full-depth column
+    /// row already busts the ~256 KiB cache budget. The i-block is then
+    /// sized so one tile's output (`i_block * ny * 2*sub_len` voxels)
+    /// stays inside the budget and the pool gets two blocks per thread
+    /// to steal.
     pub fn resolve(&self, dims: Dims3, pair: SlabPair, threads: usize) -> (usize, usize) {
         const CACHE_BUDGET: usize = 256 * 1024;
-        let target_tiles = 2 * threads.max(1);
         let parts = if self.slab_pairs == 0 {
             let row_bytes = dims.ny * 2 * pair.len * 4;
-            let for_cache = row_bytes.div_ceil(CACHE_BUDGET);
-            let for_steal = target_tiles.div_ceil(dims.nx.max(1));
-            for_cache.max(for_steal).clamp(1, pair.len)
+            row_bytes.div_ceil(CACHE_BUDGET).clamp(1, pair.len)
         } else {
             self.slab_pairs.min(pair.len).max(1)
         };
@@ -69,7 +67,7 @@ impl TileConfig {
                 .checked_div(dims.ny * sub_nz * 4)
                 .unwrap_or(usize::MAX)
                 .max(1);
-            let steal_cap = dims.nx.div_ceil(target_tiles.div_ceil(parts)).max(1);
+            let steal_cap = dims.nx.div_ceil(2 * threads.max(1)).max(1);
             cache_cap.min(steal_cap).min(dims.nx)
         } else {
             self.i_block.min(dims.nx).max(1)
@@ -103,7 +101,7 @@ pub struct Tile {
 pub struct TileReport {
     /// Which tile ran.
     pub tile: Tile,
-    /// When a worker picked the tile up.
+    /// When a worker started the tile.
     pub started: Instant,
     /// When the tile's accumulation finished.
     pub finished: Instant,
@@ -132,7 +130,7 @@ pub fn partition_pairs(pair: SlabPair, parts: usize) -> Result<Vec<SlabPair>> {
 }
 
 /// Enumerate the tiles of a resolved configuration, sub pair major (all
-/// i-blocks of sub pair 0 first). The order is the assembly order and is
+/// i-blocks of sub pair 0 first). The order is the report order and is
 /// independent of thread count.
 pub fn tiles_for(dims: Dims3, pair: SlabPair, i_block: usize, parts: usize) -> Result<Vec<Tile>> {
     let subs = partition_pairs(pair, parts)?;
@@ -153,49 +151,73 @@ pub fn tiles_for(dims: Dims3, pair: SlabPair, i_block: usize, parts: usize) -> R
     Ok(tiles)
 }
 
-/// Serial accumulation of one tile into a private `(i_len, ny,
-/// 2*sub_len)` k-major volume — the [`crate::warp`] column-batched
-/// kernel with the voxel indices offset by the tile origin, so the
-/// arithmetic (and therefore the bits) match the untiled kernels.
-fn accumulate_tile<S: Sampler>(
-    tile: &Tile,
+/// The tiles of one i-block, each with its report slot and sweep
+/// buffers, built before the dispatch so workers allocate nothing.
+type BlockTiles = Vec<(TileReport, SweepBuffers)>;
+
+/// Accumulate every tile of one i-block (`cols`) in place: per sub pair,
+/// the [`crate::warp`] column-batched kernel over the block's columns,
+/// writing the sub pair's upper and mirror runs of each pair-local
+/// column.
+#[allow(clippy::too_many_arguments)] // the block, the kernel inputs and the pair
+fn accumulate_block<S: Sampler>(
+    cols: &mut [f32],
+    tiles: &mut BlockTiles,
     rows: &[[[f32; 4]; 3]],
     samplers: &[S],
-    nv: usize,
+    pair: SlabPair,
+    vmax: f32,
     ny: usize,
     batch: usize,
-) -> Volume {
-    let sub = tile.pair;
-    let local_nz = sub.local_nz();
-    let vmax = nv as f32 - 1.0;
-    let mut vol = Volume::zeros(Dims3::new(tile.i_len, ny, local_nz), VolumeLayout::KMajor);
-    let data = vol.data_mut();
-    let mut buf = SweepBuffers::new(sub.len);
-    for (i, plane) in data.chunks_exact_mut(ny * local_nz).enumerate() {
-        let ifl = (tile.i0 + i) as f32;
-        for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
-            // analyze: allow(bounds, reason = "local_nz = 2 * pair.len and SlabPair::new rejects len == 0")
-            for (j, col) in plane.chunks_exact_mut(local_nz).enumerate() {
-                // The untiled driver's column body, offset by the sub
-                // pair's origin.
-                let jf = j as f32;
-                sweep_column(rows_b, samplers_b, ifl, jf, sub.k0, vmax, &mut buf, col);
+) {
+    let local_nz = pair.local_nz();
+    for (report, buf) in tiles {
+        report.started = clock::now();
+        let Tile { i0, pair: sub, .. } = report.tile;
+        // Offsets of the sub pair's two runs inside the pair-local
+        // column: the upper slab ascending from `up`, the mirror slab
+        // (kept in ascending global order) from `down`.
+        let up = sub.k0 - pair.k0;
+        let down = 2 * pair.len - up - sub.len;
+        // analyze: allow(bounds, reason = "blocks exist only for a nonempty volume, so ny >= 1, and local_nz = 2 * pair.len >= 2")
+        for (i, plane) in cols.chunks_exact_mut(ny * local_nz).enumerate() {
+            let ifl = (i0 + i) as f32;
+            for (rows_b, samplers_b) in rows.chunks(batch).zip(samplers.chunks(batch)) {
+                // analyze: allow(bounds, reason = "local_nz = 2 * pair.len and SlabPair::new rejects len == 0")
+                for (j, col) in plane.chunks_exact_mut(local_nz).enumerate() {
+                    let Some((upper, mirror)) = col.split_at_mut_checked(down) else {
+                        continue;
+                    };
+                    let (Some(col_up), Some(col_down)) =
+                        (upper.get_mut(up..up + sub.len), mirror.get_mut(..sub.len))
+                    else {
+                        continue;
+                    };
+                    let jf = j as f32;
+                    sweep_column(
+                        rows_b, samplers_b, ifl, jf, sub.k0, vmax, buf, col_up, col_down,
+                    );
+                }
             }
         }
+        report.finished = clock::now();
     }
-    vol
 }
 
-/// Tiled, thread-parallel version of
-/// [`crate::pair::backproject_pair_with`]: back-project one slab pair by
-/// dispatching its tiles over the pool, then assemble the tile volumes
-/// into the pair volume in tile order. Also returns one [`TileReport`]
-/// per tile (in tile order) for span attribution.
+/// Back-project projections into `out`, the caller's k-major
+/// `(nx, ny, 2*pair.len)` pair volume, **in place**: every voxel gains
+/// the contribution of `mats`/`samplers`, taken in `batch`-sized chunks
+/// (Listing 1: one read-modify-write per voxel per batch). `out` may
+/// already hold earlier batches; the result is bit-identical to
+/// feeding all projections through one call, for every thread count
+/// and tile shape.
 ///
-/// The result is bit-identical to `backproject_pair_with` for every
-/// thread count and tile shape.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_with + cfg
-pub fn backproject_pair_tiled_reporting<S: Sampler>(
+/// The pool runs over contiguous i-blocks of `out` (the `i_block` of
+/// [`TileConfig::resolve`]); each worker owns its block and walks the
+/// sub slab pairs inside it. Returns one [`TileReport`] per tile of
+/// [`tiles_for`], in index order, for span attribution.
+#[allow(clippy::too_many_arguments)] // the kernel inputs, the tile shape and the output
+pub fn backproject_pair_into<S: Sampler>(
     pool: &Pool,
     mats: &[ProjectionMatrix],
     samplers: &[S],
@@ -203,140 +225,70 @@ pub fn backproject_pair_tiled_reporting<S: Sampler>(
     dims: Dims3,
     pair: SlabPair,
     batch: usize,
-    cfg: TileConfig,
-) -> (Volume, Vec<TileReport>) {
+    tile: TileConfig,
+    out: &mut Volume,
+) -> Vec<TileReport> {
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert_eq!(mats.len(), samplers.len(), "one matrix per projection");
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert_eq!(dims.nz, pair.nz_full, "pair must match volume Nz");
     // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
     assert!((1..=WARP_BATCH).contains(&batch), "batch must be in 1..=32");
-    let ny = dims.ny;
-    let (i_block, parts) = cfg.resolve(dims, pair, pool.threads());
+    let local = Dims3::new(dims.nx, dims.ny, pair.local_nz());
+    // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
+    assert!(
+        out.dims() == local && out.layout() == VolumeLayout::KMajor,
+        "output must be the k-major pair volume"
+    );
+    let (i_block, parts) = tile.resolve(dims, pair, pool.threads());
     let tiles = tiles_for(dims, pair, i_block, parts)
         // analyze: allow(panic, reason = "resolve() clamps i_block and parts into the range tiles_for accepts")
         .expect("resolved tile shape is valid");
     let rows: Vec<[[f32; 4]; 3]> = mats.iter().map(|m| m.rows_f32()).collect();
+    let vmax = nv as f32 - 1.0;
 
-    // Each tile owns a private output volume: disjoint writes, no false
-    // sharing, and a fixed accumulation order per voxel regardless of
-    // which worker runs the tile.
-    let pieces: Vec<Option<(Volume, TileReport)>> = pool.parallel_map(tiles.len(), 1, |t| {
-        let tile = *tiles.get(t)?;
-        let started = clock::now();
-        let vol = accumulate_tile(&tile, &rows, samplers, nv, ny, batch);
-        Some((
-            vol,
-            TileReport {
-                tile,
-                started,
-                finished: clock::now(),
-            },
-        ))
-    });
-
-    // Assemble sequentially in tile order; every destination voxel is
-    // written exactly once.
-    let local_nz = pair.local_nz();
-    let mut out = Volume::zeros(Dims3::new(dims.nx, ny, local_nz), VolumeLayout::KMajor);
-    let data = out.data_mut();
-    let mut reports = Vec::with_capacity(tiles.len());
-    for (vol, report) in pieces.into_iter().flatten() {
-        let tile = report.tile;
-        let sub_nz = tile.pair.local_nz();
-        let r = tile.pair.k0 - pair.k0;
-        // Destination offsets of the sub pair's two slabs inside the
-        // pair-local column (both runs are contiguous and ascending).
-        let up = r;
-        let down = 2 * pair.len - r - tile.pair.len;
-        let src = vol.data();
-        // analyze: allow(bounds, reason = "sub_nz = 2 * tile.pair.len and SlabPair::new rejects len == 0")
-        let mut cols = src.chunks_exact(sub_nz);
-        for i in 0..tile.i_len {
-            for j in 0..ny {
-                let Some(col) = cols.next() else { break };
-                let (col_up, col_down) = col.split_at(tile.pair.len);
-                let dst0 = ((tile.i0 + i) * ny + j) * local_nz;
-                if let Some(dst) = data.get_mut(dst0 + up..dst0 + up + tile.pair.len) {
-                    dst.copy_from_slice(col_up);
-                }
-                if let Some(dst) = data.get_mut(dst0 + down..dst0 + down + tile.pair.len) {
-                    dst.copy_from_slice(col_down);
-                }
-            }
+    // Tiles are sub pair major, so block `b` owns every `n_blocks`-th
+    // tile starting at `b`.
+    let n_blocks = dims.nx.div_ceil(i_block);
+    let block_len = (i_block * dims.ny * local.nz).max(1);
+    let now = clock::now();
+    let mut blocks: Vec<(&mut [f32], BlockTiles)> = out
+        .data_mut()
+        .chunks_mut(block_len)
+        .enumerate()
+        .map(|(b, cols)| {
+            let own = tiles.iter().skip(b).step_by(n_blocks);
+            let slots = own.map(|&tile| {
+                let report = TileReport {
+                    tile,
+                    started: now,
+                    finished: now,
+                };
+                (report, SweepBuffers::new(tile.pair.len))
+            });
+            (cols, slots.collect())
+        })
+        .collect();
+    pool.parallel_chunks_mut(&mut blocks, 1, |_, chunk| {
+        for (cols, tiles) in chunk {
+            accumulate_block(cols, tiles, &rows, samplers, pair, vmax, dims.ny, batch);
         }
-        reports.push(report);
-    }
-    (out, reports)
-}
-
-/// [`backproject_pair_tiled_reporting`] without the report plumbing.
-#[allow(clippy::too_many_arguments)] // mirrors backproject_pair_with + cfg
-pub fn backproject_pair_tiled_with<S: Sampler>(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    samplers: &[S],
-    nv: usize,
-    dims: Dims3,
-    pair: SlabPair,
-    batch: usize,
-    cfg: TileConfig,
-) -> Volume {
-    backproject_pair_tiled_reporting(pool, mats, samplers, nv, dims, pair, batch, cfg).0
-}
-
-/// Full-volume tiled back-projection with any sampler set: the single
-/// slab pair covering the whole volume, split into tiles.
-///
-/// Output is k-major; `dims.nz` must be even. Bit-identical to
-/// [`crate::warp::backproject_warp_with`] at every thread count.
-pub fn backproject_tiled_with<S: Sampler>(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    samplers: &[S],
-    nv: usize,
-    dims: Dims3,
-    batch: usize,
-    cfg: TileConfig,
-) -> Volume {
-    // analyze: allow(panic, reason = "caller-contract validation at the public driver entry; fires before any work starts")
-    assert!(dims.nz.is_multiple_of(2), "tiled kernel needs even Nz");
-    let Some(pair) = SlabPair::whole(dims.nz) else {
-        // Only reachable for a degenerate zero-depth volume.
-        return Volume::zeros(dims, VolumeLayout::KMajor);
-    };
-    backproject_pair_tiled_with(pool, mats, samplers, nv, dims, pair, batch, cfg)
-}
-
-/// The paper's best configuration (`L1-Tran`) through the tiled driver:
-/// transposed projections, k-major volume, 32-projection batches.
-pub fn backproject_tiled(
-    pool: &Pool,
-    mats: &[ProjectionMatrix],
-    projs: &ProjectionStack,
-    dims: Dims3,
-    cfg: TileConfig,
-) -> Volume {
-    let transposed: Vec<TransposedProjection> = projs.iter().map(|p| p.transposed()).collect();
-    backproject_tiled_with(
-        pool,
-        mats,
-        &transposed,
-        projs.dims().nv,
-        dims,
-        WARP_BATCH,
-        cfg,
-    )
+    });
+    let mut reports: Vec<TileReport> = blocks
+        .into_iter()
+        .flat_map(|(_, tiles)| tiles.into_iter().map(|(report, _)| report))
+        .collect();
+    reports.sort_unstable_by_key(|r| r.tile.index);
+    reports
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pair::backproject_pair_with;
     use crate::warp::backproject_warp;
     use ct_core::geometry::CbctGeometry;
     use ct_core::problem::Dims2;
-    use ct_core::projection::ProjectionImage;
+    use ct_core::projection::{ProjectionImage, ProjectionStack};
 
     fn setup(np: usize, n: usize) -> (CbctGeometry, Vec<ProjectionMatrix>, ProjectionStack) {
         let geo = CbctGeometry::standard(Dims2::new(2 * n, 2 * n), np, Dims3::cube(n));
@@ -407,90 +359,62 @@ mod tests {
         assert_eq!(parts, pair.len);
     }
 
+    /// The whole volume through the driver at tile shape
+    /// `(i_block, slab_pairs)`, with its tile reports.
+    fn whole(
+        pool: &Pool,
+        geo: &CbctGeometry,
+        stack: &ProjectionStack,
+        shape: (usize, usize),
+    ) -> (Volume, Vec<TileReport>) {
+        let (mats, nv, dims) = (geo.projection_matrices(), geo.detector.nv, geo.volume);
+        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
+        let pair = SlabPair::whole(dims.nz).unwrap();
+        let (i_block, slab_pairs) = shape;
+        let tile = TileConfig {
+            i_block,
+            slab_pairs,
+        };
+        let mut out = Volume::zeros(dims, VolumeLayout::KMajor);
+        let reports = backproject_pair_into(
+            pool,
+            &mats,
+            &transposed,
+            nv,
+            dims,
+            pair,
+            WARP_BATCH,
+            tile,
+            &mut out,
+        );
+        (out, reports)
+    }
+
     #[test]
     fn tiled_is_bit_identical_to_warp_kernel() {
         let (geo, mats, stack) = setup(40, 16);
         let reference = backproject_warp(&Pool::serial(), &mats, &stack, geo.volume);
-        for cfg in [
-            TileConfig::AUTO,
-            TileConfig {
-                i_block: 3,
-                slab_pairs: 2,
-            },
-            TileConfig {
-                i_block: 16,
-                slab_pairs: 8,
-            },
-        ] {
-            let tiled = backproject_tiled(&Pool::serial(), &mats, &stack, geo.volume, cfg);
-            assert_eq!(tiled.data(), reference.data(), "{cfg:?}");
+        for shape in [(3, 2), (16, 8)] {
+            let (tiled, _) = whole(&Pool::serial(), &geo, &stack, shape);
+            assert_eq!(tiled.data(), reference.data(), "{shape:?}");
         }
     }
 
     #[test]
     fn tiled_is_bit_identical_across_thread_counts() {
-        let (geo, mats, stack) = setup(17, 16);
-        let cfg = TileConfig {
-            i_block: 5,
-            slab_pairs: 3,
-        };
-        let serial = backproject_tiled(&Pool::serial(), &mats, &stack, geo.volume, cfg);
+        let (geo, _, stack) = setup(17, 16);
+        let (serial, _) = whole(&Pool::serial(), &geo, &stack, (5, 3));
         for threads in [2, 4] {
-            let par = backproject_tiled(&Pool::new(threads), &mats, &stack, geo.volume, cfg);
+            let (par, _) = whole(&Pool::new(threads), &geo, &stack, (5, 3));
             assert_eq!(par.data(), serial.data(), "{threads} threads");
         }
     }
 
     #[test]
-    fn tiled_pair_matches_untiled_pair() {
-        let (geo, mats, stack) = setup(9, 16);
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let nv = stack.dims().nv;
-        let pair = SlabPair::new(16, 2, 5).unwrap();
-        let untiled = backproject_pair_with(
-            &Pool::serial(),
-            &mats,
-            &transposed,
-            nv,
-            geo.volume,
-            pair,
-            WARP_BATCH,
-        );
-        let tiled = backproject_pair_tiled_with(
-            &Pool::new(2),
-            &mats,
-            &transposed,
-            nv,
-            geo.volume,
-            pair,
-            WARP_BATCH,
-            TileConfig {
-                i_block: 7,
-                slab_pairs: 2,
-            },
-        );
-        assert_eq!(tiled.data(), untiled.data());
-    }
-
-    #[test]
     fn reports_cover_every_tile_in_order() {
-        let (geo, mats, stack) = setup(5, 8);
-        let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
-        let pair = SlabPair::new(8, 0, 4).unwrap();
-        let cfg = TileConfig {
-            i_block: 2,
-            slab_pairs: 2,
-        };
-        let (_, reports) = backproject_pair_tiled_reporting(
-            &Pool::new(3),
-            &mats,
-            &transposed,
-            stack.dims().nv,
-            geo.volume,
-            pair,
-            WARP_BATCH,
-            cfg,
-        );
+        let (geo, _, stack) = setup(5, 8);
+        let (_, reports) = whole(&Pool::new(3), &geo, &stack, (2, 2));
+        let pair = SlabPair::whole(8).unwrap();
         let tiles = tiles_for(geo.volume, pair, 2, 2).unwrap();
         assert_eq!(reports.len(), tiles.len());
         for (r, t) in reports.iter().zip(&tiles) {

@@ -18,7 +18,7 @@
 //! v-loop strides by `Nu` floats — so that is what `Bp-L1` does here.
 
 use crate::lanes::{backproject_batch, KernelImpl};
-use crate::tiled::{backproject_tiled_with, TileConfig};
+use crate::tiled::TileConfig;
 use crate::warp::{backproject_warp_with, Sampler, WARP_BATCH};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
@@ -92,11 +92,11 @@ pub struct BpConfig {
     pub variant: KernelVariant,
     /// Projection batch per pass (Listing 1 uses 32).
     pub batch: usize,
-    /// Tile shape for the blocked parallel driver; `None` runs the
-    /// untiled per-plane path. Ignored by `RTK-32`, whose i-major layout
-    /// the tiled driver does not produce. Either way the output bits are
-    /// identical — tiling changes scheduling, not arithmetic.
-    pub tile: Option<TileConfig>,
+    /// Tile shape of the back-projection driver (default
+    /// [`TileConfig::AUTO`]). Ignored by `RTK-32`, whose i-major layout
+    /// the driver does not produce. Every shape gives the same output
+    /// bits — tiling changes scheduling and cache reuse, not arithmetic.
+    pub tile: TileConfig,
     /// Which column-sweep implementation runs the hot loop (scalar
     /// oracle vs lane-array; see [`crate::lanes`]). Only `L1-Tran`
     /// dispatches on this — the other Table 3 variants are layout
@@ -110,7 +110,7 @@ impl Default for BpConfig {
         Self {
             variant: KernelVariant::L1Tran,
             batch: WARP_BATCH,
-            tile: Some(TileConfig::AUTO),
+            tile: TileConfig::AUTO,
             kernel: KernelImpl::Lanes,
         }
     }
@@ -125,22 +125,6 @@ impl Sampler for BlockedTransposed {
     #[inline]
     fn sample(&self, u: f32, v: f32) -> f32 {
         self.0.sample(v, u)
-    }
-}
-
-/// Run the batched kernel through the tiled driver when the config asks
-/// for tiling, or the untiled per-plane path otherwise.
-fn run_batched<S: Sampler>(
-    pool: &Pool,
-    cfg: BpConfig,
-    mats: &[ProjectionMatrix],
-    samplers: &[S],
-    nv: usize,
-    dims: Dims3,
-) -> Volume {
-    match cfg.tile {
-        Some(t) => backproject_tiled_with(pool, mats, samplers, nv, dims, cfg.batch, t),
-        None => backproject_warp_with(pool, mats, samplers, nv, dims, cfg.batch),
     }
 }
 
@@ -159,19 +143,19 @@ pub fn backproject(
         KernelVariant::Rtk32 => backproject_rtk32(pool, mats, projs, dims),
         KernelVariant::BpTex => {
             let samplers: Vec<BlockedProjection> = projs.iter().map(|p| p.blocked()).collect();
-            run_batched(pool, cfg, mats, &samplers, nv, dims)
+            backproject_warp_with(pool, mats, &samplers, nv, dims, cfg.batch, cfg.tile)
         }
         KernelVariant::TexTran => {
             let samplers: Vec<BlockedTransposed> = projs
                 .iter()
                 .map(|p| BlockedTransposed(p.transposed().as_swapped_image().blocked()))
                 .collect();
-            run_batched(pool, cfg, mats, &samplers, nv, dims)
+            backproject_warp_with(pool, mats, &samplers, nv, dims, cfg.batch, cfg.tile)
         }
         KernelVariant::BpL1 => {
             let samplers: Vec<ct_core::projection::ProjectionImage> =
                 projs.iter().cloned().collect();
-            run_batched(pool, cfg, mats, &samplers, nv, dims)
+            backproject_warp_with(pool, mats, &samplers, nv, dims, cfg.batch, cfg.tile)
         }
         KernelVariant::L1Tran => {
             let transposed: Vec<ct_core::projection::TransposedProjection> =
@@ -321,7 +305,7 @@ mod tests {
         let cfg = BpConfig::default();
         assert_eq!(cfg.variant, KernelVariant::L1Tran);
         assert_eq!(cfg.batch, 32);
-        assert_eq!(cfg.tile, Some(TileConfig::AUTO));
+        assert_eq!(cfg.tile, TileConfig::AUTO);
         assert_eq!(cfg.kernel, KernelImpl::Lanes);
     }
 
@@ -352,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_dispatch_is_bit_identical_to_untiled() {
+    fn dispatch_is_bit_identical_across_tile_shapes() {
         let (geo, mats, stack) = setup(12, 8);
         for variant in [
             KernelVariant::BpTex,
@@ -360,18 +344,24 @@ mod tests {
             KernelVariant::BpL1,
             KernelVariant::L1Tran,
         ] {
-            let untiled = BpConfig {
+            let one_tile = BpConfig {
                 variant,
-                tile: None,
+                tile: TileConfig {
+                    i_block: geo.volume.nx,
+                    slab_pairs: 1,
+                },
                 ..Default::default()
             };
-            let tiled = BpConfig {
+            let blocked = BpConfig {
                 variant,
-                tile: Some(TileConfig::AUTO),
+                tile: TileConfig {
+                    i_block: 3,
+                    slab_pairs: 2,
+                },
                 ..Default::default()
             };
-            let a = backproject(&Pool::serial(), untiled, &mats, &stack, geo.volume);
-            let b = backproject(&Pool::new(3), tiled, &mats, &stack, geo.volume);
+            let a = backproject(&Pool::serial(), one_tile, &mats, &stack, geo.volume);
+            let b = backproject(&Pool::new(3), blocked, &mats, &stack, geo.volume);
             assert_eq!(a.data(), b.data(), "{}", variant.name());
         }
     }

@@ -13,7 +13,8 @@
 //! count of the volume data which is stored in the global memory",
 //! Section 3.3.1).
 
-use crate::pair::{backproject_pair_with, SlabPair};
+use crate::pair::SlabPair;
+use crate::tiled::{backproject_pair_into, TileConfig};
 use ct_core::geometry::ProjectionMatrix;
 use ct_core::problem::Dims3;
 use ct_core::projection::{ProjectionStack, TransposedProjection};
@@ -23,11 +24,10 @@ use ct_par::Pool;
 /// The paper's projection batch size (`Nbatch = 32`, Listing 1).
 pub const WARP_BATCH: usize = 32;
 
-/// Fixed SIMD-friendly chunk width of the batched inner loop. Every
-/// batch is processed as `ceil(width / 8)` chunks of exactly 8 lanes;
-/// the trailing chunk is padded with zero-weight lanes so the compiler
-/// sees loops of constant trip count over fixed-size arrays and can
-/// auto-vectorize them (no `unsafe`, no explicit SIMD).
+/// Fixed SIMD-friendly chunk width of the lane kernel's depth loop
+/// ([`crate::lanes`]): the sweep runs in chunks of exactly 8 voxels, so
+/// the compiler sees loops of constant trip count over fixed-size arrays
+/// and can auto-vectorize them (no `unsafe`, no explicit SIMD).
 pub const LANE_WIDTH: usize = 8;
 
 /// Abstraction over the projection fetch path, letting the same kernel
@@ -134,7 +134,7 @@ impl Sampler for TransposedProjection {
 
 /// Reusable per-column sweep state for [`ColumnBatch::accumulate_into`]:
 /// the voxel accumulators (`up`, `down`) plus the per-lane detector-row
-/// scratch, allocated once per worker instead of once per column.
+/// scratch, allocated once per tile instead of once per column.
 #[derive(Debug, Clone)]
 pub struct SweepBuffers {
     /// Accumulated batch contribution of the upper-slab voxels.
@@ -156,10 +156,18 @@ impl SweepBuffers {
         }
     }
 
-    /// One zeroed sweep column.
+    /// One zeroed sweep column, with a cache line of spare capacity
+    /// past its end. The driver allocates every tile's buffers on the
+    /// calling thread, so columns that different workers write sit next
+    /// to each other in memory; the spare line keeps them off each
+    /// other's cache lines (that false sharing cost up to a third of the
+    /// back-projection time at 128^3 on two threads).
     fn column(len: usize) -> Vec<f32> {
-        // analyze: allow(alloc, reason = "constructor: sweep buffers are allocated once per worker/tile and reused across every column")
-        vec![0.0; len]
+        /// One 64-byte cache line of `f32`s.
+        const CACHE_LINE_F32: usize = 16;
+        let mut col = Vec::with_capacity(len + CACHE_LINE_F32);
+        col.resize(len, 0.0);
+        col
     }
 
     /// Zero the accumulators for the next column.
@@ -178,18 +186,12 @@ impl Sampler for ct_core::projection::BlockedProjection {
 }
 
 /// Per-column lane constants for one projection batch — the CPU image of
-/// the warp registers of Listing 1, restructured into fixed-width
-/// [`LANE_WIDTH`]-lane chunks.
+/// the warp registers of Listing 1.
 ///
 /// [`ColumnBatch::compute`] evaluates, once per voxel column `(i, j)`,
 /// the per-projection values `u`, `1/z`, `1/z^2` and the affine
-/// coefficients of `y(k)` (Theorems 2-3 hoisting). The hot k-loop then
-/// calls [`ColumnBatch::accumulate`], whose inner loops run over exactly
-/// 8 lanes each: detector-row arithmetic and the weighted accumulation
-/// happen in fixed `[f32; 8]` arrays the compiler auto-vectorizes. Lanes
-/// past the batch width carry zero weight (and clamp their sampler
-/// index), so tail batches cost one padded chunk instead of a
-/// variable-length scalar loop.
+/// coefficients of `y(k)` (Theorems 2-3 hoisting);
+/// [`ColumnBatch::accumulate_into`] then sweeps the column's depth range.
 #[derive(Debug, Clone)]
 pub struct ColumnBatch {
     u: [f32; WARP_BATCH],
@@ -197,7 +199,6 @@ pub struct ColumnBatch {
     w: [f32; WARP_BATCH],
     y0: [f32; WARP_BATCH],
     yk: [f32; WARP_BATCH],
-    chunks: usize,
     width: usize,
 }
 
@@ -218,7 +219,6 @@ impl ColumnBatch {
             w: [0.0; WARP_BATCH],
             y0: [0.0; WARP_BATCH],
             yk: [0.0; WARP_BATCH],
-            chunks: width.div_ceil(LANE_WIDTH),
             width,
         };
         let lanes =
@@ -242,63 +242,16 @@ impl ColumnBatch {
         cb
     }
 
-    /// Accumulate the voxel at depth `kf` and its Theorem-1 mirror over
-    /// the whole batch, returning `(sum, mirror_sum)`. `vmax` is
-    /// `Nv - 1` as f32 (the mirrored detector row is `vmax - v`).
-    ///
-    /// `samplers` must be the projection samplers of this batch, in lane
-    /// order. The reduction over lanes uses a fixed tree, so the result
-    /// depends only on the batch content — not on thread count or batch
-    /// chunking of the caller.
-    #[inline]
-    pub fn accumulate<S: Sampler>(&self, samplers: &[S], kf: f32, vmax: f32) -> (f32, f32) {
-        debug_assert_eq!(samplers.len(), self.width, "one sampler per lane");
-        let mut acc = [0.0f32; LANE_WIDTH];
-        let mut acc_m = [0.0f32; LANE_WIDTH];
-        let chunks = self
-            .y0
-            .chunks_exact(LANE_WIDTH)
-            .zip(self.yk.chunks_exact(LANE_WIDTH))
-            .zip(self.f.chunks_exact(LANE_WIDTH))
-            .zip(self.u.chunks_exact(LANE_WIDTH))
-            .zip(self.w.chunks_exact(LANE_WIDTH))
-            .take(self.chunks);
-        for (c, ((((y0c, ykc), fc), uc), wc)) in chunks.enumerate() {
-            let base = c * LANE_WIDTH;
-            // Detector-row arithmetic for 8 lanes at once — constant trip
-            // count over fixed arrays, the auto-vectorization target.
-            let mut v = [0.0f32; LANE_WIDTH];
-            for (vl, ((&y0, &yk), &f)) in v.iter_mut().zip(y0c.iter().zip(ykc).zip(fc)) {
-                *vl = (y0 + yk * kf) * f;
-            }
-            let lanes = v.iter().zip(uc).zip(wc).zip(acc.iter_mut().zip(&mut acc_m));
-            for (l, (((&vl, &u), &w), (a, am))) in lanes.enumerate() {
-                // Padded lanes clamp to the last real sampler; their
-                // weight is exactly 0.0 so they contribute nothing.
-                let Some(q) = samplers
-                    .get((base + l).min(self.width - 1))
-                    .or_else(|| samplers.last())
-                else {
-                    continue;
-                };
-                *a += w * q.sample(u, vl);
-                *am += w * q.sample(u, vmax - vl);
-            }
-        }
-        (tree8(&acc), tree8(&acc_m))
-    }
-
     /// Sweep the whole depth range of the column at once: for step `k`
     /// (global depth `k0 + k`), add the batch contribution of the voxel
     /// to `buf.up[k]` and of its Theorem-1 mirror to `buf.down[k]`.
     ///
     /// The detector rows of a lane (`(y0 + yk*kf) * f` and its mirror) are
-    /// evaluated with exactly the per-voxel path's expressions into the
-    /// scratch arrays, then each lane becomes one
+    /// evaluated into the scratch arrays, then each lane becomes one
     /// [`Sampler::accumulate_column`] sweep with the `u` interpolation
-    /// hoisted out of the depth loop — the dominant cost of the per-voxel
-    /// path. Lanes accumulate in batch order, so results depend only on
-    /// the batch content and `k0`, never on the calling driver's tiling
+    /// hoisted out of the depth loop — the dominant cost of a per-voxel
+    /// evaluation. Lanes accumulate in batch order, so results depend only
+    /// on the batch content and `k0`, never on the calling driver's tiling
     /// or thread count.
     #[inline]
     pub fn accumulate_into<S: Sampler>(
@@ -327,12 +280,13 @@ impl ColumnBatch {
     }
 }
 
-/// Add one projection batch to one pair-local voxel column `(i, j)`:
-/// lane setup, the depth sweep from global depth `k0`, then one update
-/// per voxel of the upper slab (`col[..len]`, ascending) and of its
-/// Theorem-1 mirror (`col[len..]`, stored in ascending global order, so
-/// filled in reverse). Both the untiled and the tiled driver run every
-/// column through this one body, which is what makes them bit-identical.
+/// Add one projection batch to one voxel column `(i, j)` of a slab
+/// pair: lane setup, the depth sweep from global depth `k0`, then one
+/// update per voxel of the upper run (`up`, ascending) and of its
+/// Theorem-1 mirror run (`down`, stored in ascending global order, so
+/// filled in reverse). The one driver,
+/// [`crate::tiled::backproject_pair_into`], runs every column through
+/// this body.
 #[allow(clippy::too_many_arguments)] // the flat per-column dataflow
 #[inline]
 pub(crate) fn sweep_column<S: Sampler>(
@@ -343,7 +297,8 @@ pub(crate) fn sweep_column<S: Sampler>(
     k0: usize,
     vmax: f32,
     buf: &mut SweepBuffers,
-    col: &mut [f32],
+    up: &mut [f32],
+    down: &mut [f32],
 ) {
     // "Lane" setup: per projection of the batch, the constants of the
     // voxel column (Listing 1 lines 11-14).
@@ -352,27 +307,18 @@ pub(crate) fn sweep_column<S: Sampler>(
     // then one volume update per voxel and its Theorem-1 mirror.
     buf.reset();
     cb.accumulate_into(samplers, k0, vmax, buf);
-    let (col_up, col_down) = col.split_at_mut(buf.up.len());
-    for (dst, src) in col_up.iter_mut().zip(&buf.up) {
+    for (dst, src) in up.iter_mut().zip(&buf.up) {
         *dst += *src;
     }
-    for (dst, src) in col_down.iter_mut().rev().zip(&buf.down) {
+    for (dst, src) in down.iter_mut().rev().zip(&buf.down) {
         *dst += *src;
     }
-}
-
-/// Fixed-shape pairwise reduction of 8 lanes (order never depends on
-/// runtime state, keeping every kernel bit-deterministic).
-#[inline]
-fn tree8(a: &[f32; LANE_WIDTH]) -> f32 {
-    let [a0, a1, a2, a3, a4, a5, a6, a7] = *a;
-    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
 }
 
 /// Generic batched kernel: Algorithm 4 loop structure with Listing 1's
 /// 32-projection batching, over any projection access path — the
-/// untiled [`crate::pair::backproject_pair_with`] driver run on the
-/// single slab pair covering the whole volume.
+/// [`crate::tiled::backproject_pair_into`] driver run on the single slab
+/// pair covering the whole volume, into a fresh volume.
 ///
 /// Output is k-major; `dims.nz` must be even.
 pub fn backproject_warp_with<S: Sampler>(
@@ -382,14 +328,16 @@ pub fn backproject_warp_with<S: Sampler>(
     nv: usize,
     dims: Dims3,
     batch: usize,
+    tile: TileConfig,
 ) -> Volume {
     // analyze: allow(panic, reason = "caller-contract validation at the public kernel entry; fires before any work starts")
     assert!(dims.nz.is_multiple_of(2), "warp kernel needs even Nz");
-    let Some(pair) = SlabPair::whole(dims.nz) else {
-        // Only reachable for a degenerate zero-depth volume.
-        return Volume::zeros(dims, VolumeLayout::KMajor);
-    };
-    backproject_pair_with(pool, mats, samplers, nv, dims, pair, batch)
+    let mut vol = Volume::zeros(dims, VolumeLayout::KMajor);
+    // `None` only for a degenerate zero-depth volume.
+    if let Some(pair) = SlabPair::whole(dims.nz) {
+        backproject_pair_into(pool, mats, samplers, nv, dims, pair, batch, tile, &mut vol);
+    }
+    vol
 }
 
 /// The paper's best configuration (`L1-Tran`): transposed projections,
@@ -401,7 +349,8 @@ pub fn backproject_warp(
     dims: Dims3,
 ) -> Volume {
     let transposed: Vec<TransposedProjection> = projs.iter().map(|p| p.transposed()).collect();
-    backproject_warp_with(pool, mats, &transposed, projs.dims().nv, dims, WARP_BATCH)
+    let (nv, auto) = (projs.dims().nv, TileConfig::AUTO);
+    backproject_warp_with(pool, mats, &transposed, nv, dims, WARP_BATCH, auto)
 }
 
 #[cfg(test)]
@@ -454,6 +403,7 @@ mod tests {
                 stack.dims().nv,
                 geo.volume,
                 b,
+                TileConfig::AUTO,
             );
             let ne = nrmse(full.data(), v.data()).unwrap();
             assert!(ne < 1e-6, "batch {b}: {ne}");
@@ -475,9 +425,10 @@ mod tests {
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
         let blocked: Vec<_> = stack.iter().map(|p| p.blocked()).collect();
         let rowmajor: Vec<_> = stack.iter().cloned().collect();
-        let a = backproject_warp_with(&Pool::serial(), &mats, &transposed, nv, geo.volume, 32);
-        let b = backproject_warp_with(&Pool::serial(), &mats, &blocked, nv, geo.volume, 32);
-        let c = backproject_warp_with(&Pool::serial(), &mats, &rowmajor, nv, geo.volume, 32);
+        let (pool, auto) = (Pool::serial(), TileConfig::AUTO);
+        let a = backproject_warp_with(&pool, &mats, &transposed, nv, geo.volume, 32, auto);
+        let b = backproject_warp_with(&pool, &mats, &blocked, nv, geo.volume, 32, auto);
+        let c = backproject_warp_with(&pool, &mats, &rowmajor, nv, geo.volume, 32, auto);
         assert!(nrmse(a.data(), b.data()).unwrap() < 1e-6);
         assert!(nrmse(a.data(), c.data()).unwrap() < 1e-6);
     }
@@ -511,8 +462,10 @@ mod tests {
 
     #[test]
     fn sweep_agrees_with_per_voxel_accumulate() {
-        // The depth sweep reorders the lane reduction (sequential instead
-        // of tree8), so agreement is at floating-point tolerance.
+        // The depth sweep against a per-voxel evaluation of every lane at
+        // depth k and at its mirror, summed in the same batch order: the
+        // transposed fast path is bit-identical to `sample`, so the sums
+        // match exactly.
         let (geo, mats, stack) = setup(32, 8);
         let rows: Vec<_> = mats.iter().map(|m| m.rows_f32()).collect();
         let transposed: Vec<_> = stack.iter().map(|p| p.transposed()).collect();
@@ -522,12 +475,14 @@ mod tests {
         let mut buf = SweepBuffers::new(half);
         cb.accumulate_into(&transposed, 0, vmax, &mut buf);
         for k in 0..half {
-            let (sum, sum_m) = cb.accumulate(&transposed, k as f32, vmax);
-            assert!((sum - buf.up[k]).abs() < 1e-4 * sum.abs().max(1.0), "k {k}");
-            assert!(
-                (sum_m - buf.down[k]).abs() < 1e-4 * sum_m.abs().max(1.0),
-                "mirror k {k}"
-            );
+            let (mut sum, mut sum_m) = (0.0f32, 0.0f32);
+            for (l, q) in transposed.iter().enumerate() {
+                let v = (cb.y0[l] + cb.yk[l] * k as f32) * cb.f[l];
+                sum += cb.w[l] * q.sample(cb.u[l], v);
+                sum_m += cb.w[l] * q.sample(cb.u[l], vmax - v);
+            }
+            assert_eq!(sum.to_bits(), buf.up[k].to_bits(), "k {k}");
+            assert_eq!(sum_m.to_bits(), buf.down[k].to_bits(), "mirror k {k}");
         }
     }
 
@@ -543,6 +498,7 @@ mod tests {
             stack.dims().nv,
             geo.volume,
             64,
+            TileConfig::AUTO,
         );
     }
 }

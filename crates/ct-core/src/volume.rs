@@ -35,7 +35,6 @@ impl Volume {
         Self {
             dims,
             layout,
-            // analyze: allow(alloc, reason = "constructor: one output-volume allocation per tile/run, amortized across the whole sweep")
             data: vec![0.0; dims.len()],
         }
     }

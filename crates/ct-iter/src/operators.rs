@@ -1,6 +1,7 @@
 //! The forward/back projection operator pair for iterative solvers.
 
-use ct_bp::warp::backproject_warp_with;
+use ct_bp::tiled::TileConfig;
+use ct_bp::warp::{backproject_warp_with, WARP_BATCH};
 use ct_core::error::{CtError, Result};
 use ct_core::forward::project_ray_marching;
 use ct_core::geometry::{CbctGeometry, ProjectionMatrix};
@@ -76,7 +77,8 @@ impl Operators {
             &samplers,
             self.geo.detector.nv,
             self.geo.volume,
-            32,
+            WARP_BATCH,
+            TileConfig::AUTO,
         );
         Ok(vol.into_layout(VolumeLayout::IMajor))
     }

@@ -5,11 +5,11 @@
 //! of the stream — Listing 1's `Nbatch = 32` — so the result depends
 //! only on the projection order, never on arrival timing. Each chunk
 //! goes through the one `ct_bp` dispatch,
-//! [`backproject_pair_batch_reporting`], for this pipeline's slab pair
-//! (the whole volume on a single node, the row's pair on a rank) and is
-//! added into the running pair volume.
+//! [`backproject_pair_batch_into`], which adds it in place into the
+//! running volume of this pipeline's slab pair (the whole volume on a
+//! single node, the row's pair on a rank).
 
-use ct_bp::lanes::backproject_pair_batch_reporting;
+use ct_bp::lanes::backproject_pair_batch_into;
 use ct_bp::tiled::TileReport;
 use ct_bp::warp::WARP_BATCH;
 use ct_bp::{BpConfig, SlabPair};
@@ -29,6 +29,16 @@ pub(crate) fn check_batch(batch: usize) -> Result<()> {
         Err(CtError::InvalidConfig(format!(
             "batch = {batch} must be in 1..={WARP_BATCH}"
         )))
+    }
+}
+
+/// Reject a zero circular-buffer capacity before any thread starts.
+pub(crate) fn check_ring_capacity(capacity: usize) -> Result<()> {
+    match capacity {
+        0 => Err(CtError::InvalidConfig(
+            "ring_capacity must be nonzero".into(),
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -89,18 +99,18 @@ impl BatchAccumulator {
         self.pending.len()
     }
 
-    /// Back-project the pending projections and add them into the pair
-    /// volume. Returns the tiled driver's per-tile reports (empty when
-    /// untiled or when nothing was pending).
-    pub(crate) fn flush(&mut self) -> Result<Vec<TileReport>> {
+    /// Back-project the pending projections into the pair volume, in
+    /// place. Returns the driver's per-tile reports (empty when nothing
+    /// was pending).
+    pub(crate) fn flush(&mut self) -> Vec<TileReport> {
         if self.pending.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let mats: Vec<ProjectionMatrix> = self.pending.iter().map(|(i, _)| self.mats[*i]).collect();
         let projs: Vec<&TransposedProjection> = self.pending.iter().map(|(_, q)| q).collect();
-        // All kernel x tile routes are bit-identical; the config only
+        // Every kernel and tile shape is bit-identical; the config only
         // changes scheduling and instruction mix, not arithmetic.
-        let (part, reports) = backproject_pair_batch_reporting(
+        let reports = backproject_pair_batch_into(
             &self.pool,
             self.bp.kernel,
             &mats,
@@ -110,10 +120,10 @@ impl BatchAccumulator {
             self.pair,
             self.bp.batch,
             self.bp.tile,
+            &mut self.acc,
         );
-        self.acc.accumulate(&part)?;
         self.pending.clear();
-        Ok(reports)
+        reports
     }
 
     /// The pair volume accumulated so far (pending projections excluded).
@@ -122,8 +132,8 @@ impl BatchAccumulator {
     }
 
     /// Flush whatever is pending and return the k-major pair volume.
-    pub(crate) fn finish(mut self) -> Result<Volume> {
-        self.flush()?;
-        Ok(self.acc)
+    pub(crate) fn finish(mut self) -> Volume {
+        self.flush();
+        self.acc
     }
 }

@@ -25,10 +25,9 @@
 //! The whole pipeline is instrumented through [`ct_obs`]: each of the
 //! three threads opens a track tagged `(rank, role)` and wraps its work in
 //! spans named `load`, `filter`, `allgather`, `backprojection`, `reduce`
-//! and `store` (PFS transfers nest as `pfs.read`/`pfs.write`; with the
-//! tiled driver enabled, per-tile `bp.tile` spans tagged by tile index
-//! nest under each `backprojection` batch and show tile-level load
-//! balance).
+//! and `store` (PFS transfers nest as `pfs.read`/`pfs.write`; per-tile
+//! `bp.tile` spans tagged by tile index nest under each `backprojection`
+//! batch and show tile-level load balance).
 //! Communication spans carry the exact payload bytes measured by the
 //! communicator's per-rank traffic counters, and the circular buffers
 //! report occupancy high-water marks and stall counts as gauges/counters
@@ -47,7 +46,7 @@
 //! the hot path. [`model_divergence`] compares a measured
 //! [`DistReport`] against the paper's analytic model (Eqs. 8–19).
 
-use crate::batch::{check_batch, BatchAccumulator};
+use crate::batch::{check_batch, check_ring_capacity, BatchAccumulator};
 use crate::grid::RankGrid;
 use crate::ring::RingBuffer;
 use ct_bp::lanes::KernelImpl;
@@ -139,10 +138,10 @@ pub struct DistConfig {
     pub filter: FilterConfig,
     /// Back-projection batch size (the paper uses 32).
     pub batch: usize,
-    /// Tile shape for the blocked back-projection driver; `None` runs
-    /// the untiled per-plane path. Output bits are identical either way;
-    /// tiling changes scheduling and adds per-tile `bp.tile` spans.
-    pub tile: Option<TileConfig>,
+    /// Tile shape of the back-projection driver (default
+    /// [`TileConfig::AUTO`]). Every shape gives the same output bits; the
+    /// shape changes scheduling and the per-tile `bp.tile` spans.
+    pub tile: TileConfig,
     /// Column-sweep implementation for the kernel (scalar oracle vs
     /// lane-array; see [`ct_bp::lanes`]). Defaults to
     /// [`KernelImpl::Lanes`], which is bit-identical to scalar.
@@ -185,7 +184,7 @@ impl DistConfig {
             grid,
             filter: FilterConfig::default(),
             batch: 32,
-            tile: Some(TileConfig::AUTO),
+            tile: TileConfig::AUTO,
             kernel: KernelImpl::Lanes,
             threads_per_rank: 1,
             ring_capacity: 64,
@@ -215,7 +214,8 @@ impl DistConfig {
                 2 * self.grid.rows
             )));
         }
-        check_batch(self.batch)
+        check_batch(self.batch)?;
+        check_ring_capacity(self.ring_capacity)
     }
 }
 
@@ -591,7 +591,7 @@ fn run_rank(
         };
         let throttle = cfg.bp_throttle;
         let bp_per = geo.detector.len();
-        let bp = s.spawn(move || -> Result<Volume> {
+        let bp = s.spawn(move || {
             let track = bp_obs.track(rank as u32, ThreadRole::Backprojection);
             // Bind the track so the ring's pop-wait spans land here.
             let _cur = ct_obs::current::set_current(&track);
@@ -633,11 +633,10 @@ fn run_rank(
                     sp.set_bytes((n * bp_per * 4) as u64);
                     // Tile intervals were measured on pool workers (which
                     // cannot own a track); attribute them here, tagged by
-                    // tile index, so traces show tile-level load balance
-                    // (no reports on the untiled path). The tile set is a
-                    // pure function of the config, keeping the span
-                    // structure deterministic.
-                    for r in &acc.flush()? {
+                    // tile index, so traces show tile-level load balance.
+                    // The tile set is a pure function of the config,
+                    // keeping the span structure deterministic.
+                    for r in &acc.flush() {
                         track.record_completed(
                             "bp.tile",
                             Some(r.tile.index as u64),
@@ -698,7 +697,7 @@ fn run_rank(
         if let Some(e) = gather_err {
             return Err(e);
         }
-        bp_result
+        Ok(bp_result)
     });
 
     // Ring telemetry: recorded whether or not the pipeline succeeded.
@@ -1107,9 +1106,9 @@ mod tests {
     }
 
     #[test]
-    fn tiled_bp_matches_untiled_and_traces_tiles() {
+    fn tile_shapes_match_and_trace_tiles() {
         let (geo, store) = setup(8, 16);
-        let run_with = |tile: Option<TileConfig>| {
+        let run_with = |tile: TileConfig| {
             let mut cfg = DistConfig::new(geo.clone(), RankGrid::new(2, 2).unwrap());
             cfg.tile = tile;
             cfg.obs = Recorder::trace();
@@ -1117,22 +1116,33 @@ mod tests {
             let report = reconstruct_distributed(&cfg, &store, &output).unwrap();
             (download_volume(&output, geo.volume).unwrap(), report)
         };
-        let (tiled, report) = run_with(Some(TileConfig::AUTO));
-        let (untiled, plain) = run_with(None);
-        // Tiling changes scheduling, not bits.
-        assert_eq!(tiled.data(), untiled.data());
-        // Every rank's back-projection thread attributed per-tile spans.
-        for rank in 0..4u32 {
-            let t = report
-                .trace
-                .stage(rank, ThreadRole::Backprojection, "bp.tile")
-                .unwrap();
-            assert!(t.count >= 1, "rank {rank} recorded no tile spans");
+        let one_tile = TileConfig {
+            i_block: geo.volume.nx,
+            slab_pairs: 1,
+        };
+        let blocked = TileConfig {
+            i_block: 3,
+            slab_pairs: 2,
+        };
+        let (auto, _) = run_with(TileConfig::AUTO);
+        // The tile shape changes scheduling, not bits.
+        for (tile, tiles_per_batch) in [(one_tile, 1), (blocked, 6)] {
+            let (vol, report) = run_with(tile);
+            assert_eq!(vol.data(), auto.data(), "{tile:?}");
+            // Every rank's back-projection thread attributed one span per
+            // tile of every batch.
+            for rank in 0..4u32 {
+                let bp = report
+                    .trace
+                    .stage(rank, ThreadRole::Backprojection, "backprojection")
+                    .unwrap();
+                let t = report
+                    .trace
+                    .stage(rank, ThreadRole::Backprojection, "bp.tile")
+                    .unwrap();
+                assert_eq!(t.count, tiles_per_batch * bp.count, "rank {rank} {tile:?}");
+            }
         }
-        assert!(plain
-            .trace
-            .stage(0, ThreadRole::Backprojection, "bp.tile")
-            .is_none());
     }
 
     #[test]

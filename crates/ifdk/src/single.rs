@@ -7,10 +7,10 @@
 //! paper's Section 3.1 heterogeneity argument in miniature: the filter
 //! latency hides behind the much heavier back-projection.
 
-use crate::batch::{check_batch, BatchAccumulator};
+use crate::batch::{check_batch, check_ring_capacity, BatchAccumulator};
 use crate::ring::RingBuffer;
 use ct_bp::warp::WARP_BATCH;
-use ct_bp::{backproject, fdk_scale, BpConfig, SlabPair};
+use ct_bp::{backproject, fdk_scale, BpConfig, KernelVariant, SlabPair};
 use ct_core::error::{CtError, Result};
 use ct_core::geometry::CbctGeometry;
 use ct_core::projection::{ProjectionStack, TransposedProjection};
@@ -85,6 +85,11 @@ pub fn reconstruct(
 ) -> Result<Volume> {
     check_inputs(geo, projections)?;
     check_batch(opts.bp.batch)?;
+    // Every variant but the i-major RTK-32 baseline runs the symmetric
+    // slab-pair kernel, which needs an even Nz.
+    if opts.bp.variant != KernelVariant::Rtk32 {
+        SlabPair::new(geo.volume.nz, 0, geo.volume.nz / 2)?;
+    }
     let pool = opts.pool();
     let filterer = Filterer::new(geo, opts.filter);
     // filter_stack applies Parker short-scan weights internally when the
@@ -135,6 +140,7 @@ fn reconstruct_pipelined_impl(
     check_inputs(geo, projections)?;
     let pair = SlabPair::new(geo.volume.nz, 0, geo.volume.nz / 2)?;
     check_batch(opts.bp.batch)?;
+    check_ring_capacity(opts.ring_capacity)?;
     let pool = opts.pool();
     let filterer = Filterer::new(geo, opts.filter);
     let ring: RingBuffer<(usize, TransposedProjection)> = RingBuffer::new(opts.ring_capacity);
@@ -151,7 +157,7 @@ fn reconstruct_pipelined_impl(
     let filter_cell = live.map(|r| r.stage("filter"));
     let bp_cell = live.map(|r| r.stage("backprojection"));
 
-    let vol = std::thread::scope(|s| -> Result<Volume> {
+    let vol = std::thread::scope(|s| {
         // Filtering thread: filter + transpose, in projection order.
         let producer = ring.clone();
         let filterer = &filterer;
@@ -181,14 +187,14 @@ fn reconstruct_pipelined_impl(
                 break;
             }
             let started = bp_cell.as_ref().map(|_| clock::now());
-            acc.flush()?;
+            acc.flush();
             if let (Some(cell), Some(started)) = (&bp_cell, started) {
                 cell.record_batch(n as u64, started.elapsed().as_nanos() as u64);
             }
         }
         flt.join().expect("filter thread panicked");
         acc.finish()
-    })?;
+    });
 
     let mut vol = vol.into_layout(VolumeLayout::IMajor);
     if opts.apply_scale {

@@ -76,7 +76,7 @@ impl StreamingReconstructor {
         let full = self.acc.push(self.next_index, q.transposed());
         self.next_index += 1;
         if full {
-            self.acc.flush()?;
+            self.acc.flush();
         }
         Ok(())
     }
@@ -90,7 +90,7 @@ impl StreamingReconstructor {
                 self.next_index, self.geo.num_projections
             )));
         }
-        let mut vol = self.acc.finish()?.into_layout(VolumeLayout::IMajor);
+        let mut vol = self.acc.finish().into_layout(VolumeLayout::IMajor);
         if self.apply_scale {
             vol.scale(fdk_scale(&self.geo));
         }
@@ -101,7 +101,7 @@ impl StreamingReconstructor {
     /// (pending projections included) — the "watch the volume appear"
     /// preview.
     pub fn preview(&mut self) -> Result<Volume> {
-        self.acc.flush()?;
+        self.acc.flush();
         let mut vol = self.acc.volume().clone().into_layout(VolumeLayout::IMajor);
         if self.apply_scale {
             vol.scale(fdk_scale(&self.geo));

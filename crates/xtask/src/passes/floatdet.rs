@@ -8,7 +8,8 @@
 //!   not associative, so folding partials in `HashMap` iteration order,
 //!   or merging worker results in channel-arrival order, yields a
 //!   different bit pattern per run. The documented-deterministic path
-//!   is the tiled merge (fixed tile order); anything else that
+//!   is the back-projection driver's (each voxel owned by one tile,
+//!   projections added in a fixed order); anything else that
 //!   accumulates floats from an unordered source is flagged. Detection
 //!   is a taint dataflow over the CFG: values derived from hash-map
 //!   iteration or `recv`-family joins are tainted, and a float
@@ -250,8 +251,8 @@ impl FloatDeterminism {
                                     rule: "float-order",
                                     msg: format!(
                                         "float accumulator `{acc}` in `{}` is folded {how} — \
-                                         summation order changes the bits; sort keys or use \
-                                         the tiled merge",
+                                         summation order changes the bits; sort keys or \
+                                         accumulate in a fixed order",
                                         f.qual
                                     ),
                                 });

@@ -3,7 +3,7 @@
 //! methodology (Shepp-Logan projections in, reconstructed volume out,
 //! compared against the reference).
 
-use ct_bp::{BpConfig, KernelVariant};
+use ct_bp::{BpConfig, KernelVariant, TileConfig};
 use ct_core::metrics::{nrmse, rmse};
 use ct_core::volume::VolumeLayout;
 use ct_filter::{FilterConfig, RampKind};
@@ -201,8 +201,9 @@ fn thread_count_does_not_change_results() {
     );
 }
 
-/// Every shipped pipeline shares one batch → back-project → accumulate
-/// loop, so they must agree bit for bit, not just at NRMSE: Np = 40 is
+/// Every shipped pipeline shares one batch → in-place back-projection
+/// loop, and `reconstruct` runs the same driver over all projections at
+/// once, so they must agree bit for bit, not just at NRMSE: Np = 40 is
 /// one full 32-projection batch plus a tail, Np = 64 two full batches.
 #[test]
 fn pipelines_are_bit_identical() {
@@ -220,15 +221,21 @@ fn pipelines_are_bit_identical() {
         };
         let want = bits(&reference);
 
-        let untiled = ReconOptions {
+        let one_tile = ReconOptions {
             bp: BpConfig {
-                tile: None,
+                tile: TileConfig {
+                    i_block: geo.volume.nx,
+                    slab_pairs: 1,
+                },
                 ..opts.bp
             },
             ..opts
         };
-        let piped = reconstruct_pipelined(&geo, &stack, &untiled).unwrap();
-        assert_eq!(bits(&piped), want, "np {np}: pipelined, tile None");
+        let piped = reconstruct_pipelined(&geo, &stack, &one_tile).unwrap();
+        assert_eq!(bits(&piped), want, "np {np}: pipelined, one tile");
+
+        let plain = reconstruct(&geo, &stack, &opts).unwrap();
+        assert_eq!(bits(&plain), want, "np {np}: reconstruct");
 
         let mut s =
             StreamingReconstructor::new(geo.clone(), opts.filter, opts.bp, Pool::new(2), true)
@@ -248,44 +255,102 @@ fn pipelines_are_bit_identical() {
     }
 }
 
-/// A projection batch outside `1..=32` is a typed configuration error
-/// at every single-node entry point — never a kernel panic, never a
-/// silent clamp.
+/// A configuration the kernels or the pipeline cannot run — a
+/// projection batch outside `1..=32`, an odd `Nz` for the symmetric
+/// kernels, a zero-capacity circular buffer — is a typed configuration
+/// error at every entry point it reaches, before any work starts: never
+/// a kernel or ring panic, never a silent clamp.
 #[test]
 fn out_of_range_batch_is_rejected_by_every_entry_point() {
     use ct_core::error::CtError;
+    use ct_core::problem::{Dims2, Dims3};
+    use ct_core::projection::ProjectionStack;
+    use ct_core::CbctGeometry;
     use ct_obs::live::LiveRegistry;
     use ct_par::Pool;
-    use ifdk::{reconstruct_pipelined_live, StreamingReconstructor};
+    use ct_pfs::PfsStore;
+    use ifdk::distributed::upload_projections;
+    use ifdk::{
+        reconstruct_distributed, reconstruct_pipelined_live, DistConfig, RankGrid,
+        StreamingReconstructor,
+    };
 
     let (geo, _, stack) = scene(8, 8);
-    for batch in [0, 33] {
-        let opts = ReconOptions {
-            bp: BpConfig {
-                batch,
-                ..BpConfig::default()
-            },
-            ..ReconOptions::default()
-        };
-        let invalid = |r: Result<_, CtError>, what: &str| {
+    let odd_geo = CbctGeometry::standard(Dims2::new(16, 16), 8, Dims3::new(8, 8, 7));
+    let odd_stack = ProjectionStack::zeros(odd_geo.detector, 8);
+    let with_batch = |batch| ReconOptions {
+        bp: BpConfig {
+            batch,
+            ..BpConfig::default()
+        },
+        ..ReconOptions::default()
+    };
+    let no_ring = ReconOptions {
+        ring_capacity: 0,
+        ..ReconOptions::default()
+    };
+    // (case, geometry, projections, options, ring-only: whether the
+    // case reaches only the entry points that own a circular buffer,
+    // which `reconstruct` and the streaming reconstructor do not)
+    let cases = [
+        ("batch 0", &geo, &stack, with_batch(0), false),
+        ("batch 33", &geo, &stack, with_batch(33), false),
+        (
+            "odd Nz",
+            &odd_geo,
+            &odd_stack,
+            ReconOptions::default(),
+            false,
+        ),
+        ("ring_capacity 0", &geo, &stack, no_ring, true),
+    ];
+    for (case, geo, stack, opts, ring_only) in cases {
+        let invalid = |r: Result<(), CtError>, what: &str| {
             assert!(
                 matches!(r, Err(CtError::InvalidConfig(_))),
-                "{what} accepted batch {batch}"
+                "{what} accepted {case}: {r:?}"
             );
         };
-        invalid(reconstruct(&geo, &stack, &opts).map(|_| ()), "reconstruct");
+        if !ring_only {
+            invalid(reconstruct(geo, stack, &opts).map(|_| ()), "reconstruct");
+            invalid(
+                StreamingReconstructor::new(
+                    geo.clone(),
+                    opts.filter,
+                    opts.bp,
+                    Pool::serial(),
+                    true,
+                )
+                .map(|_| ()),
+                "StreamingReconstructor::new",
+            );
+        }
         invalid(
-            reconstruct_pipelined(&geo, &stack, &opts).map(|_| ()),
+            reconstruct_pipelined(geo, stack, &opts).map(|_| ()),
             "reconstruct_pipelined",
         );
         invalid(
-            reconstruct_pipelined_live(&geo, &stack, &opts, &LiveRegistry::new()).map(|_| ()),
+            reconstruct_pipelined_live(geo, stack, &opts, &LiveRegistry::new()).map(|_| ()),
             "reconstruct_pipelined_live",
         );
+        let input = PfsStore::memory();
+        upload_projections(&input, stack).unwrap();
+        let mut cfg = DistConfig::new(geo.clone(), RankGrid::new(1, 1).unwrap());
+        cfg.batch = opts.bp.batch;
+        cfg.ring_capacity = opts.ring_capacity;
         invalid(
-            StreamingReconstructor::new(geo.clone(), opts.filter, opts.bp, Pool::serial(), true)
-                .map(|_| ()),
-            "StreamingReconstructor::new",
+            reconstruct_distributed(&cfg, &input, &PfsStore::memory()).map(|_| ()),
+            "reconstruct_distributed",
         );
     }
+    // RTK-32 writes an i-major volume with no mirror symmetry, so
+    // `reconstruct` still runs it at odd Nz.
+    let rtk = ReconOptions {
+        bp: BpConfig {
+            variant: KernelVariant::Rtk32,
+            ..BpConfig::default()
+        },
+        ..ReconOptions::default()
+    };
+    assert!(reconstruct(&odd_geo, &odd_stack, &rtk).is_ok());
 }

@@ -1,12 +1,12 @@
 //! Property tests for the lane-array back-projection kernel
 //! (`ct_bp::lanes`): the per-column weight precomputation must agree
 //! with scalar bilinear sampling for arbitrary coordinates including
-//! the border clamps, and lane samplers run through the untiled and
-//! tiled drivers must reproduce the scalar warp kernel bitwise for any
-//! tile shape and thread count.
+//! the border clamps, and lane samplers run through the driver must
+//! reproduce the scalar warp kernel bitwise for any tile shape and
+//! thread count.
 
 use ct_bp::lanes::LaneSampler;
-use ct_bp::tiled::{backproject_tiled_with, TileConfig};
+use ct_bp::tiled::TileConfig;
 use ct_bp::warp::{backproject_warp_with, Sampler, WARP_BATCH};
 use ct_core::geometry::CbctGeometry;
 use ct_core::interp::{interp2, AxisWeight};
@@ -153,9 +153,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The lane sampler changes instruction mix, not arithmetic: through
-    /// the untiled driver, and through the tiled driver at any tile
-    /// shape, it reproduces the scalar warp kernel bitwise at any thread
-    /// count.
+    /// the driver at the automatic and at any explicit tile shape, it
+    /// reproduces the scalar warp kernel bitwise at any thread count.
     #[test]
     fn lane_drivers_equal_scalar_warp_bitwise(
         n2 in 4usize..8,
@@ -173,14 +172,14 @@ proptest! {
         let nv = geo.detector.nv;
         let pool = Pool::new(threads);
 
-        let scalar =
-            backproject_warp_with(&Pool::serial(), &mats, &transposed, nv, geo.volume, WARP_BATCH);
-        let untiled =
-            backproject_warp_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH);
-        prop_assert_eq!(bits(untiled.data()), bits(scalar.data()), "untiled");
+        let auto = TileConfig::AUTO;
+        let scalar = backproject_warp_with(
+            &Pool::serial(), &mats, &transposed, nv, geo.volume, WARP_BATCH, auto,
+        );
+        let lanes = backproject_warp_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH, auto);
+        prop_assert_eq!(bits(lanes.data()), bits(scalar.data()), "auto");
         let tile = TileConfig { i_block, slab_pairs };
-        let tiled =
-            backproject_tiled_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH, tile);
+        let tiled = backproject_warp_with(&pool, &mats, &samplers, nv, geo.volume, WARP_BATCH, tile);
         prop_assert_eq!(bits(tiled.data()), bits(scalar.data()), "{:?}", tile);
     }
 }
